@@ -20,6 +20,10 @@ $TK build-codebook --freq "$WORK/freq.tsv" --strategy basic \
 $TK encode --codebook "$WORK/codebook.tsv" < "$WORK/corpus.txt" > "$WORK/encoded.txt"
 $TK decode --codebook "$WORK/codebook.tsv" < "$WORK/encoded.txt" > "$WORK/restored.txt"
 cmp "$WORK/corpus.txt" "$WORK/restored.txt" && echo "encode|decode: byte-identical"
+sed 's/$/\r/' "$WORK/corpus.txt" > "$WORK/corpus-crlf.txt"
+$TK encode --codebook "$WORK/codebook.tsv" < "$WORK/corpus-crlf.txt" \
+    | $TK decode --codebook "$WORK/codebook.tsv" | cmp "$WORK/corpus-crlf.txt" - \
+    && echo "encode|decode (CRLF): byte-identical"
 
 $TK verify "$WORK/corpus.txt" --codebook "$WORK/codebook.tsv"
 

@@ -114,10 +114,6 @@ def _merge_pair(syms: list[str], pair: tuple[str, str]) -> list[str]:
     return out
 
 
-def tokenize(text: str, model: BpeModel) -> list[str]:
-    return model.tokenize(text)
-
-
 def train(corpus, target_vocab: int) -> BpeModel:
     """Standard greedy BPE training until `target_vocab` entries or no pairs left.
 

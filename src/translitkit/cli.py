@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import logging
 import sys
 from typing import Callable, Iterable, Iterator
 
-from . import __version__, bpe, codebook, config, freqanalysis, langid, metrics, translit
+from . import __version__, bpe, codebook, config, freqanalysis, langid, metrics, textio, translit
 from .codespace import DEFAULT_PROFILE
-from .errors import InputError, TranslitError
+from .errors import TranslitError
 from .pipeline import Pipeline
 
 log = logging.getLogger("translitkit")
@@ -42,28 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-# Wrappers are cached by underlying buffer so they are never garbage collected
-# (a collected TextIOWrapper would close the process stream under us).
-_wrappers: dict[int, io.TextIOWrapper] = {}
-
-
-def _wrap(stream, **kwargs):
-    buffer = getattr(stream, "buffer", None)
-    if buffer is None:
-        return stream
-    wrapper = _wrappers.get(id(buffer))
-    if wrapper is None or wrapper.closed:
-        wrapper = io.TextIOWrapper(buffer, encoding="utf-8", write_through=True, **kwargs)
-        _wrappers[id(buffer)] = wrapper
-    return wrapper
-
-
-def _stdin():
-    return _wrap(sys.stdin)
-
-
-def _stdout():
-    return _wrap(sys.stdout, newline="\n")
+STDIN = "<stdin>"
 
 
 @contextlib.contextmanager
@@ -72,31 +50,22 @@ def _open_out(path: str | None):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     else:
-        out = _stdout()
-        yield out
-        out.flush()
+        yield sys.stdout
+        sys.stdout.flush()
 
 
-def _read_lines(path: str, keepends: bool = False) -> Iterator[str]:
-    """Strict-UTF-8 line reader; decode failures carry the byte offset."""
-    offset = 0
+def _file_lines(path: str, keep_ends: bool = False) -> Iterator[str]:
     with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputError(f"{path}: invalid UTF-8 at byte offset {offset + exc.start}") from exc
-            offset += len(raw)
-            yield line if keepends else line.rstrip("\n").rstrip("\r")
+        for text, end in textio.read_lines(fh, path):
+            yield text + end if keep_ends else text
 
 
-def _filter_stream(instream, outstream, fn: Callable[[str], str]) -> None:
-    for raw in instream:
-        if raw.endswith("\n"):
-            outstream.write(fn(raw[:-1]) + "\n")
-        else:
-            outstream.write(fn(raw))
-    outstream.flush()
+def _filter(fn: Callable[[str], str]) -> None:
+    """stdin -> stdout line by line; each output line keeps its input line's terminator."""
+    write = sys.stdout.write
+    for text, end in textio.read_lines(sys.stdin.buffer, STDIN):
+        write(fn(text) + end)
+    sys.stdout.flush()
 
 
 def cmd_analyze(args) -> int:
@@ -136,7 +105,7 @@ def cmd_encode(args) -> int:
     transform = codebook.load_transform(args.transform) if args.transform else None
     if transform:
         log.warning("transform attached: transformed characters are not restorable")
-    _filter_stream(_stdin(), _stdout(), translit.translator(cb, transform))
+    _filter(translit.translator(cb, transform))
     return EXIT_OK
 
 
@@ -152,7 +121,7 @@ def cmd_decode(args) -> int:
             log.warning("%s", w)
         return result.text
 
-    _filter_stream(_stdin(), _stdout(), fn)
+    _filter(fn)
     if warnings_total:
         print(f"decode warnings: {warnings_total}", file=sys.stderr)
     return EXIT_OK
@@ -160,8 +129,8 @@ def cmd_decode(args) -> int:
 
 def cmd_verify(args) -> int:
     cb = codebook.load_path(args.codebook)
-    report = translit.verify_roundtrip(_read_lines(args.corpus), cb)
-    out = _stdout()
+    report = translit.verify_roundtrip(_file_lines(args.corpus), cb)
+    out = sys.stdout
     out.write(f"total: {report.total}\n")
     out.write(f"failures: {report.failures}\n")
     if report.first_failure_offset is not None:
@@ -173,10 +142,10 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     model = bpe.load_model(args.bpe)
     ob, eb, fr = metrics.file_compression(
-        _read_lines(args.original, keepends=True), _read_lines(args.encoded, keepends=True)
+        _file_lines(args.original, keep_ends=True), _file_lines(args.encoded, keep_ends=True)
     )
     ot, et, tr = metrics.token_compression(
-        _read_lines(args.original), _read_lines(args.encoded), model
+        _file_lines(args.original), _file_lines(args.encoded), model
     )
     report = metrics.CompressionReport(
         ob, eb, fr, ot, et, tr, language_tag=args.lang, empty=(ob == 0 and ot == 0)
@@ -184,7 +153,7 @@ def cmd_stats(args) -> int:
     method = ""
     if args.codebook:
         method = codebook.load_path(args.codebook).strategy
-    out = _stdout()
+    out = sys.stdout
     if args.human:
         out.write(metrics.format_human([(method, report)]) + "\n")
     else:
@@ -194,7 +163,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bpe_train(args) -> int:
-    model = bpe.train(_read_lines(args.corpus), args.vocab_size)
+    model = bpe.train(_file_lines(args.corpus), args.vocab_size)
     bpe.save_model(model, args.out)
     log.info("trained BPE model: %d tokens, %d merges -> %s", len(model.vocab), len(model.merges), args.out)
     return EXIT_OK
@@ -229,30 +198,30 @@ def cmd_langid_train(args) -> int:
 
 def cmd_detect(args) -> int:
     model = langid.load_model(args.model)
-    out = _stdout()
     if args.text is not None:
-        pred = langid.predict(args.text, model)
-        out.write(f"{pred.label}\t{pred.confidence:.6f}\n")
+        texts: Iterable[str] = [args.text]
     else:
-        for raw in _stdin():
-            pred = langid.predict(raw.rstrip("\n").rstrip("\r"), model)
-            out.write(f"{pred.label}\t{pred.confidence:.6f}\n")
-    out.flush()
+        texts = (text for text, _ in textio.read_lines(sys.stdin.buffer, STDIN))
+    for text in texts:
+        pred = langid.predict(text, model)
+        sys.stdout.write(f"{pred.label}\t{pred.confidence:.6f}\n")
+    sys.stdout.flush()
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
     cfg = config.load_pipeline_config(args.config)
     pl = Pipeline.from_config(cfg)
-    out = _stdout()
-    lines = (raw.rstrip("\n").rstrip("\r") for raw in _stdin())
-    for final, trace in pl.batch(lines):
-        out.write(final + "\n")
+
+    def fn(line: str) -> str:
+        final, trace = next(pl.batch([line]))
         if args.trace:
             print(trace.to_json(), file=sys.stderr)
         if trace.error:
             log.warning("line failed: %s", trace.error)
-    out.flush()
+        return final
+
+    _filter(fn)
     return EXIT_OK
 
 
@@ -344,6 +313,8 @@ def main(argv: Iterable[str] | None = None) -> int:
         return EXIT_USAGE
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     log.setLevel(args.log_level.upper())
+    if hasattr(sys.stdout, "reconfigure"):  # data goes out as UTF-8 with no newline translation
+        sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     if args.version:
         print(f"translitkit {__version__} (formats: {FORMAT_VERSIONS})")
         return EXIT_OK

@@ -7,7 +7,7 @@ for codes and preserved runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .bpe import BpeModel
@@ -74,9 +74,6 @@ class Codebook:
     def single_token_count(self) -> int:
         """How many characters got a single-token code (tokenizer-aware builds)."""
         return sum(1 for e in self.entries if e.token_count == 1)
-
-    def with_strategy(self, strategy: str) -> "Codebook":
-        return replace(self, entries=list(self.entries), strategy=strategy)
 
 
 def _check_chars(chars: list[int]) -> None:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .errors import ConfigError, FormatError, InputError, IntegrityError
+from .errors import ConfigError, FormatError, IntegrityError
+from .textio import read_lines
 
 OTHER = "other"
 
@@ -102,25 +104,10 @@ def scan_file(path: str, ranges: Iterable[ScriptRange] = DEFAULT_SCRIPT_RANGES) 
 
     Line terminators are not counted; a leading BOM is ignored.
     """
-
-    def lines():
-        offset = 0
-        first = True
-        with open(path, "rb") as fh:
-            for raw in fh:
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise InputError(
-                        f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
-                    ) from exc
-                offset += len(raw)
-                if first and line.startswith("﻿"):
-                    line = line[1:]
-                first = False
-                yield line.rstrip("\r\n")
-
-    return scan_corpus(lines(), ranges)
+    with open(path, "rb") as fh:
+        lines = (text for text, _ in read_lines(fh, path))
+        first = next(lines, "").removeprefix("\ufeff")
+        return scan_corpus(itertools.chain([first], lines), ranges)
 
 
 def charset_for(freq: FrequencyTable, script: str, min_count: int = 1) -> list[int]:

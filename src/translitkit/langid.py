@@ -9,6 +9,7 @@ per-n-gram weight rows plus a bias.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -228,21 +229,41 @@ def save_model(model: LangIdModel, path: str) -> None:
 
 
 def load_model(path: str) -> LangIdModel:
+    """Read a model written by save_model; a truncated or corrupt file raises FormatError."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ConfigError(f"{path}: not a translitkit language-id model (bad magic)")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        labels = list(header["labels"])
-        buckets = int(header["hash_buckets"])
-        tp = header["training_params"]
-        tp["ngram_range"] = tuple(tp["ngram_range"])
-        params = TrainingParams(**tp)
+        prefix = fh.read(4)
+        if len(prefix) != 4:
+            raise FormatError(f"{path}: truncated header length")
+        (blob_len,) = struct.unpack("<I", prefix)
+        if blob_len > file_size - fh.tell():
+            raise FormatError(f"{path}: header length {blob_len} runs past the end of the file")
+        try:
+            header = json.loads(fh.read(blob_len).decode("utf-8"))
+            labels = list(header["labels"])
+            ngram_range = tuple(int(n) for n in header["ngram_range"])
+            buckets = int(header["hash_buckets"])
+            tp = header["training_params"]
+            tp["ngram_range"] = tuple(tp["ngram_range"])
+            params = TrainingParams(**tp)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: bad header: {exc}") from exc
+        if buckets <= 0 or not labels:
+            raise FormatError(f"{path}: bad header: {buckets} buckets, {len(labels)} labels")
         n = buckets * len(labels)
-        weights = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(buckets, len(labels)).copy()
-        bias = np.frombuffer(fh.read(8 * len(labels)), dtype="<f8").copy()
-    return LangIdModel(labels, tuple(header["ngram_range"]), buckets, weights, bias, params)
+        payload_size = 8 * (n + len(labels))
+        if file_size - fh.tell() != payload_size:
+            raise FormatError(
+                f"{path}: payload is {file_size - fh.tell()} bytes, expected {payload_size} "
+                f"for {buckets} buckets x {len(labels)} labels"
+            )
+        payload = fh.read(payload_size)
+    weights = np.frombuffer(payload, dtype="<f8", count=n).reshape(buckets, len(labels)).copy()
+    bias = np.frombuffer(payload, dtype="<f8", offset=8 * n).copy()
+    return LangIdModel(labels, ngram_range, buckets, weights, bias, params)
 
 
 def read_labeled(path: str) -> list[tuple[str, str]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .codebook import Codebook
-from .errors import DecodeError, FormatError
+from .errors import DecodeError, FormatError, TranslitError
 
 MODES = ("strict", "lenient")
 
@@ -211,7 +211,7 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
         total += 1
         try:
             ok = from_latin(encode(line), cb, "strict") == line
-        except Exception:
+        except TranslitError:
             ok = False
         if not ok:
             failures += 1

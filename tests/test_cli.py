@@ -1,14 +1,31 @@
 import io
 import json
 import random
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translitkit import codebook, synth
 from translitkit.cli import main
 from translitkit.translit import to_latin
 
 LOW_RESOURCE = ("bo", "mn", "ug")
+
+
+def _stdin(text: str) -> io.TextIOWrapper:
+    """A bytes-backed stdin, like the process's own."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+def _pipe(argv: list[str], data: bytes) -> tuple[int, bytes]:
+    """Run main() with `data` as stdin; returns the exit code and the stdout bytes."""
+    out = io.BytesIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))), \
+            mock.patch.object(sys, "stdout", io.TextIOWrapper(out, write_through=True)):
+        code = main(argv)
+        return code, out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +115,10 @@ def test_analyze_stdout_is_tsv(workspace, capsys):
 def test_encode_decode_roundtrip(workspace, capsys, monkeypatch):
     root, _, lines = workspace
     text_in = "\n".join(lines[:100]) + "\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(text_in))
+    monkeypatch.setattr("sys.stdin", _stdin(text_in))
     assert main(["encode", "--codebook", str(root / "cb.tsv")]) == 0
     encoded = capsys.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.StringIO(encoded))
+    monkeypatch.setattr("sys.stdin", _stdin(encoded))
     assert main(["decode", "--codebook", str(root / "cb.tsv")]) == 0
     decoded = capsys.readouterr().out
     assert decoded == text_in
@@ -109,7 +126,7 @@ def test_encode_decode_roundtrip(workspace, capsys, monkeypatch):
 
 def test_decode_strict_error_exits_2(workspace, capsys, monkeypatch):
     root, _, _ = workspace
-    monkeypatch.setattr("sys.stdin", io.StringIO("Zz\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("Zz\n"))
     code = main(["decode", "--codebook", str(root / "cb.tsv"), "--mode", "strict"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -117,7 +134,7 @@ def test_decode_strict_error_exits_2(workspace, capsys, monkeypatch):
 
 def test_decode_lenient_warns(workspace, capsys, monkeypatch):
     root, _, _ = workspace
-    monkeypatch.setattr("sys.stdin", io.StringIO("Zz\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("Zz\n"))
     assert main(["decode", "--codebook", str(root / "cb.tsv"), "--mode", "lenient"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "Zz\n"
@@ -177,7 +194,7 @@ def test_detect_text_and_stdin(workspace, capsys, monkeypatch):
     assert label == "bo"
     assert 0.0 < float(conf) <= 1.0
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"{tib}\nhello world again\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(f"{tib}\nhello world again\n"))
     assert main(["detect", "--model", str(root / "in.lid")]) == 0
     labels = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
     assert labels == ["bo", "other"]
@@ -186,7 +203,7 @@ def test_detect_text_and_stdin(workspace, capsys, monkeypatch):
 def test_pipeline_cli_identity(workspace, capsys, monkeypatch):
     root, _, lines = workspace
     sample = [line for line in lines[:40]]
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(sample) + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("\n".join(sample) + "\n"))
     assert main(["pipeline", "--config", str(root / "pipeline.cfg"), "--trace"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "\n".join(sample) + "\n"
@@ -200,7 +217,7 @@ def test_encode_with_lossy_transform(workspace, tmp_path, capsys, monkeypatch):
     some_mapped = min(cb.char_to_code)
     transform = tmp_path / "pinyin.tsv"
     transform.write_text("4F60\tni3\n", encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", io.StringIO("你" + chr(some_mapped) + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("你" + chr(some_mapped) + "\n"))
     assert main(["encode", "--codebook", str(root / "cb.tsv"),
                  "--transform", str(transform)]) == 0
     out = capsys.readouterr().out
@@ -224,3 +241,55 @@ def test_build_codebook_tokenizer_strategy(workspace, tmp_path, capsys):
     cb = codebook.load_path(str(out))
     assert cb.strategy == "tokenizer_opt"
     assert all(e.token_count >= 1 for e in cb.entries)
+
+
+def _byte_cases(cb) -> list[bytes]:
+    mapped = chr(min(cb.char_to_code))
+    return [
+        "ཀཁ\r\nab\rcd\r\n".encode("utf-8"),
+        f"{mapped} one\r\n{mapped}{mapped} two\r\n\r\n".encode("utf-8"),
+        f"x@y\rz {mapped}\n".encode("utf-8"),
+        f"\ufeff{mapped} bom\n".encode("utf-8"),
+        f"{mapped} no final newline".encode("utf-8"),
+    ]
+
+
+def test_encode_decode_byte_identical_terminators(workspace):
+    root, cb, _ = workspace
+    args = ["--codebook", str(root / "cb.tsv")]
+    for data in _byte_cases(cb):
+        code, encoded = _pipe(["encode", *args], data)
+        assert code == 0
+        code, decoded = _pipe(["decode", *args], encoded)
+        assert code == 0
+        assert decoded == data
+
+
+# Arbitrary text, with terminators, '@' runs, a BOM and mapped characters made common.
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from("\r\n\ufeff@aZཀཁᠠا")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_TEXT)
+def test_encode_decode_byte_identity_property(workspace, text):
+    root, _, _ = workspace
+    data = text.encode("utf-8")
+    code, encoded = _pipe(["encode", "--codebook", str(root / "cb.tsv")], data)
+    assert code == 0
+    code, decoded = _pipe(["decode", "--codebook", str(root / "cb.tsv")], encoded)
+    assert code == 0
+    assert decoded == data
+
+
+def test_invalid_stdin_reports_byte_offset(workspace, capsys):
+    root, _, _ = workspace
+    code, _ = _pipe(["encode", "--codebook", str(root / "cb.tsv")], b"\xe0\xbd\x80\n\xff\n")
+    assert code == 2
+    assert "<stdin>: invalid UTF-8 at byte offset 4" in capsys.readouterr().err
+
+
+def test_detect_lone_cr_is_one_record(workspace):
+    root, _, _ = workspace
+    code, out = _pipe(["detect", "--model", str(root / "in.lid")], b"ab\rcd\n")
+    assert code == 0
+    assert out.count(b"\n") == 1 and out.endswith(b"\n")

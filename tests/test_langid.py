@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from translitkit import synth
+from translitkit.cli import main
 from translitkit.errors import ConfigError, FormatError, TrainingError
 from translitkit.langid import (
     LangIdModel,
@@ -162,6 +163,33 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAMODEL" * 4)
     with pytest.raises(ConfigError, match="magic"):
         load_model(str(path))
+
+
+def _corrupt(blob: bytes, kind: str) -> bytes:
+    if kind == "truncated":
+        return blob[:-100]
+    if kind == "short-length-prefix":
+        return blob[:9]
+    if kind == "missing-key":
+        return blob.replace(b'"labels"', b'"lebals"', 1)
+    if kind == "bad-json":
+        return blob.replace(b'{"labels"', b'["labels"', 1)
+    return blob + bytes(8)  # trailing bytes
+
+
+@pytest.mark.parametrize(
+    "kind", ["truncated", "short-length-prefix", "missing-key", "bad-json", "trailing"]
+)
+def test_detect_on_corrupt_model_exits_2(tmp_path, toy_model, capsys, kind):
+    good = tmp_path / "good.lid"
+    save_model(toy_model, str(good))
+    bad = tmp_path / f"{kind}.lid"
+    bad.write_bytes(_corrupt(good.read_bytes(), kind))
+    with pytest.raises(FormatError):
+        load_model(str(bad))
+    assert main(["detect", "x", "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError") and str(bad) in err
 
 
 def test_read_labeled(tmp_path):

@@ -186,3 +186,21 @@ def test_verify_roundtrip_empty_stream(default_codebook):
     report = verify_roundtrip([], default_codebook)
     assert report.total == 0
     assert report.failures == 0
+
+
+def test_verify_roundtrip_counts_translit_errors_and_lets_bugs_escape(default_codebook, monkeypatch):
+    import translitkit.translit as translit_mod
+
+    def failing(exc):
+        def decode(*args, **kwargs):
+            raise exc
+
+        return decode
+
+    monkeypatch.setattr(translit_mod, "decode", failing(DecodeError("no match")))
+    report = verify_roundtrip(["ཀ", "ཁ"], default_codebook)
+    assert (report.total, report.failures, report.first_failure_offset) == (2, 2, 0)
+
+    monkeypatch.setattr(translit_mod, "decode", failing(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        verify_roundtrip(["ཀ"], default_codebook)
