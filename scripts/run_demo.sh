@@ -27,6 +27,11 @@ $TK encode --codebook "$WORK/codebook.tsv" < "$WORK/corpus-crlf.txt" \
 
 $TK verify "$WORK/corpus.txt" --codebook "$WORK/codebook.tsv"
 
+# A corrupted line (an unknown code) in lenient mode: passed through, with a
+# warning that names its input line.
+{ head -n 2 "$WORK/encoded.txt"; echo "Zz"; } \
+    | $TK decode --codebook "$WORK/codebook.tsv" --mode lenient > /dev/null
+
 $TK bpe-train "$WORK/encoded.txt" --vocab-size 600 -o "$WORK/bpe"
 $TK bpe-merge "$WORK/bpe" "$WORK/bpe" -o "$WORK/bpe-merged"
 $TK stats "$WORK/corpus.txt" "$WORK/encoded.txt" --bpe "$WORK/bpe" \

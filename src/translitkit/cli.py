@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import __version__, bpe, codebook, config, freqanalysis, langid, metrics, textio, translit
 from .codespace import DEFAULT_PROFILE
-from .errors import TranslitError
+from .errors import DecodeError, FormatError, TranslitError
 from .pipeline import Pipeline
 
 log = logging.getLogger("translitkit")
@@ -60,12 +60,22 @@ def _file_lines(path: str, keep_ends: bool = False) -> Iterator[str]:
             yield text + end if keep_ends else text
 
 
-def _filter(fn: Callable[[str], str]) -> None:
-    """stdin -> stdout line by line; each output line keeps its input line's terminator."""
-    write = sys.stdout.write
-    for text, end in textio.read_lines(sys.stdin.buffer, STDIN):
-        write(fn(text) + end)
+def _filter(fn: Callable[[str, int], Iterable[str]]) -> None:
+    """stdin -> stdout in blocks of whole lines.
+
+    `fn(block, lineno)` gets each block with the 1-based number of its first
+    line and returns the output pieces, written as they come.
+    """
+    lineno = 1
+    for block in textio.read_blocks(sys.stdin.buffer, STDIN):
+        sys.stdout.writelines(fn(block, lineno))
+        lineno += block.count("\n")
     sys.stdout.flush()
+
+
+def _per_line(fn: Callable[[str], str]) -> Callable[[str, int], Iterator[str]]:
+    """A block function applying `fn` to each line's text; terminators are kept."""
+    return lambda block, _: (fn(text) + end for text, end in textio.split_lines(block))
 
 
 def cmd_analyze(args) -> int:
@@ -105,7 +115,7 @@ def cmd_encode(args) -> int:
     transform = codebook.load_transform(args.transform) if args.transform else None
     if transform:
         log.warning("transform attached: transformed characters are not restorable")
-    _filter(translit.translator(cb, transform))
+    _filter(_per_line(translit.translator(cb, transform)))
     return EXIT_OK
 
 
@@ -113,13 +123,21 @@ def cmd_decode(args) -> int:
     cb = codebook.load_path(args.codebook)
     warnings_total = 0
 
-    def fn(line: str) -> str:
+    def fn(block: str, lineno: int) -> Iterator[str]:
         nonlocal warnings_total
-        result = translit.decode(line, cb, args.mode)
-        warnings_total += len(result.warnings)
-        for w in result.warnings:
-            log.warning("%s", w)
-        return result.text
+        text = translit.kernel_decode(block, cb)
+        if text is not None:
+            yield text
+            return
+        for n, (line, end) in enumerate(textio.split_lines(block), lineno):
+            try:
+                result = translit.scan_decode(line, cb, args.mode)
+            except (DecodeError, FormatError) as exc:
+                raise type(exc)(f"{STDIN} line {n}: {exc}", offset=exc.offset) from None
+            warnings_total += len(result.warnings)
+            for w in result.warnings:
+                log.warning("%s line %d: %s", STDIN, n, w)
+            yield result.text + end
 
     _filter(fn)
     if warnings_total:
@@ -221,7 +239,7 @@ def cmd_pipeline(args) -> int:
             log.warning("line failed: %s", trace.error)
         return final
 
-    _filter(fn)
+    _filter(_per_line(fn))
     return EXIT_OK
 
 

@@ -35,6 +35,8 @@ class Codebook:
     char_to_code: dict[int, str] = field(init=False, repr=False)
     code_to_char: dict[str, int] = field(init=False, repr=False)
     code_to_text: dict[str, str] = field(init=False, repr=False)
+    # The decode kernel's lookup table; translit builds it on first use.
+    kernel_table: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -189,6 +191,10 @@ def load(src: IO[str]) -> Codebook:
             token_count = int(cols[3])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+        if not 0 <= cp <= 0x10FFFF:
+            raise FormatError(f"line {lineno}: code point {cols[0]!r} out of range")
+        if 0xD800 <= cp <= 0xDFFF:
+            raise FormatError(f"line {lineno}: code point U+{cp:04X} is a surrogate")
         code = cols[1]
         if not is_valid_code(code):
             raise FormatError(f"line {lineno}: invalid code {code!r}")

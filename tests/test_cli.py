@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import random
 import sys
 from unittest import mock
@@ -7,9 +8,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from translitkit import codebook, synth
+from translitkit import codebook, synth, translit
 from translitkit.cli import main
-from translitkit.translit import to_latin
+from translitkit.errors import TranslitError
+from translitkit.textio import BLOCK_SIZE
+from translitkit.translit import from_latin, to_latin
 
 LOW_RESOURCE = ("bo", "mn", "ug")
 
@@ -293,3 +296,113 @@ def test_detect_lone_cr_is_one_record(workspace):
     code, out = _pipe(["detect", "--model", str(root / "in.lid")], b"ab\rcd\n")
     assert code == 0
     assert out.count(b"\n") == 1 and out.endswith(b"\n")
+
+
+# --- decode over several input blocks ----------------------------------------
+
+
+def _encoded_lines(cb, n: int) -> list[str]:
+    """n valid encoded lines of about 40 bytes: codes, an '@' run and passthrough."""
+    codes = sorted(cb.code_to_char)
+    return [f"{codes[i % len(codes)]}{codes[(7 * i) % len(codes)]}@x@@y@ {i} ·" + codes[0] * 20
+            for i in range(n)]
+
+
+def test_decode_long_line_and_crlf_across_blocks(workspace):
+    root, cb, _ = workspace
+    code = min(cb.code_to_char, key=len)  # one letter
+    pad = code * (BLOCK_SIZE - 1)  # its "\r" ends the first read, its "\n" starts the next
+    long_line = (code + "@q@ ") * BLOCK_SIZE  # longer than a block
+    lines = [(pad, "\r\n"), (long_line, "\n"), ("", "\r\n"), (code, "")]
+    data = "".join(text + end for text, end in lines).encode("utf-8")
+    assert data[BLOCK_SIZE - 1 : BLOCK_SIZE + 1] == b"\r\n"
+    status, out = _pipe(["decode", "--codebook", str(root / "cb.tsv")], data)
+    assert status == 0
+    assert out == "".join(from_latin(text, cb) + end for text, end in lines).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("Zz", "DecodeError: <stdin> line 2501: unknown code segment 'Zz' at offset 0"),
+        ("B·x", "FormatError: <stdin> line 2501: stray lowercase letter 'x' at offset 2"),
+        ("B@x", "FormatError: <stdin> line 2501: unterminated '@' run starting at offset 1"),
+    ],
+)
+def test_decode_error_in_a_later_block_names_its_line(workspace, capsys, bad, message):
+    root, cb, _ = workspace
+    lines = _encoded_lines(cb, 3000)
+    lines[2500] = bad
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    prefix = "".join(line + "\n" for line in lines[:2500]).encode("utf-8")
+    assert len(prefix) > 2 * BLOCK_SIZE  # the bad line is in a later block
+    status, out = _pipe(["decode", "--codebook", str(root / "cb.tsv")], data)
+    assert status == 2
+    assert out == "".join(from_latin(line, cb) + "\n" for line in lines[:2500]).encode("utf-8")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_decode_lenient_warning_in_a_later_block_names_its_line(workspace, capsys, caplog):
+    root, cb, _ = workspace
+    lines = _encoded_lines(cb, 3000)
+    lines[2500] = "Zz" + lines[2500]
+    data = "".join(line + "\r\n" for line in lines).encode("utf-8")
+    status, out = _pipe(["decode", "--codebook", str(root / "cb.tsv"), "--mode", "lenient"], data)
+    assert status == 0
+    expected = [translit.decode(line, cb, "lenient").text + "\r\n" for line in lines]
+    assert out == "".join(expected).encode("utf-8")
+    assert [r.getMessage() for r in caplog.records] == [
+        "<stdin> line 2501: offset 0: unknown code segment 'Zz'"
+    ]
+    assert capsys.readouterr().err.endswith("decode warnings: 1\n")
+
+
+def test_decode_invalid_utf8_in_a_later_block(workspace, capsys):
+    root, cb, _ = workspace
+    lines = _encoded_lines(cb, 3000)
+    prefix = "".join(line + "\n" for line in lines[:2500]).encode("utf-8")
+    data = prefix + b"B\xc3(\n" + "".join(line + "\n" for line in lines[2501:]).encode("utf-8")
+    status, out = _pipe(["decode", "--codebook", str(root / "cb.tsv")], data)
+    assert status == 2
+    assert out == "".join(from_latin(line, cb) + "\n" for line in lines[:2500]).encode("utf-8")
+    offset = len(prefix) + 1
+    assert capsys.readouterr().err == f"error: InputError: <stdin>: invalid UTF-8 at byte offset {offset}\n"
+
+
+# Lines of codes, letters, '@' groups, '\r' and passthrough: valid and invalid.
+_LINE = st.lists(st.sampled_from(["B", "C", "Aa", "Fk", "Zz", "x", "@", "@@", "\r", " ", "ཀ", "😀"]),
+                 max_size=12).map("".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(_LINE, max_size=8), mode=st.sampled_from(["strict", "lenient"]))
+def test_decode_cli_matches_per_line_scan(workspace, lines, mode):
+    """The block decoder writes what scanning each line alone gives, up to the first error."""
+    root, cb, _ = workspace
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    logger = logging.getLogger("translitkit")
+    records: list[str] = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append(record.getMessage())
+    logger.addHandler(handler)
+    stderr = io.StringIO()
+    try:
+        with mock.patch.object(sys, "stderr", stderr):
+            status, out = _pipe(["decode", "--codebook", str(root / "cb.tsv"), "--mode", mode], data)
+    finally:
+        logger.removeHandler(handler)
+    expected, warnings, error = [], [], None
+    for n, line in enumerate(lines, 1):
+        try:
+            result = translit.scan_decode(line, cb, mode)
+        except TranslitError as exc:
+            error = f"error: {type(exc).__name__}: <stdin> line {n}: {exc}\n"
+            break
+        expected.append(result.text + "\n")
+        warnings += [f"<stdin> line {n}: {w}" for w in result.warnings]
+    assert out == "".join(expected).encode("utf-8")
+    assert records == warnings
+    if error:
+        assert (status, stderr.getvalue()) == (2, error)
+    else:
+        assert status == 0

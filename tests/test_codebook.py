@@ -185,6 +185,26 @@ def test_load_invalid_code_pattern():
         load(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("110000", r"^line 3: code point '110000' out of range$"),
+        ("-41", r"^line 3: code point '-41' out of range$"),
+        ("D800", r"^line 3: code point U\+D800 is a surrogate$"),
+        ("DFFF", r"^line 3: code point U\+DFFF is a surrogate$"),
+    ],
+)
+def test_load_rejects_impossible_code_points(cell, message):
+    text = f"#strategy=basic freq_digest=\n0F40\tB\t1\t0\n{cell}\tC\t2\t0\n"
+    with pytest.raises(FormatError, match=message):
+        load(io.StringIO(text))
+
+
+def test_load_accepts_the_last_code_point():
+    cb = load(io.StringIO("#strategy=basic freq_digest=\n10FFFF\tB\t1\t0\nE000\tC\t2\t0\n"))
+    assert cb.code_to_char == {"B": 0x10FFFF, "C": 0xE000}
+
+
 def test_load_missing_header():
     with pytest.raises(FormatError, match="line 1"):
         load(io.StringIO("0F40\tB\t1\t0\n"))

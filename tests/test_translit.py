@@ -3,9 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from translitkit.codebook import build_basic
-from translitkit.errors import DecodeError, FormatError
-from translitkit.translit import decode, from_latin, to_latin, translator, verify_roundtrip
+from translitkit.codebook import Codebook, CodebookEntry, build_basic
+from translitkit.errors import DecodeError, FormatError, TranslitError
+from translitkit.translit import (
+    MODES,
+    decode,
+    from_latin,
+    kernel_decode,
+    scan_decode,
+    to_latin,
+    translator,
+    verify_roundtrip,
+)
 
 from reference import ref_decode, ref_encode
 
@@ -197,10 +206,124 @@ def test_verify_roundtrip_counts_translit_errors_and_lets_bugs_escape(default_co
 
         return decode
 
-    monkeypatch.setattr(translit_mod, "decode", failing(DecodeError("no match")))
+    # Send every batch to the per-line scalar scan, whose errors verify counts.
+    monkeypatch.setattr(translit_mod, "_kernel", lambda enc, cb: None)
+    monkeypatch.setattr(translit_mod, "scan_decode", failing(DecodeError("no match")))
     report = verify_roundtrip(["ཀ", "ཁ"], default_codebook)
     assert (report.total, report.failures, report.first_failure_offset) == (2, 2, 0)
 
-    monkeypatch.setattr(translit_mod, "decode", failing(RuntimeError("bug")))
+    monkeypatch.setattr(translit_mod, "scan_decode", failing(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         verify_roundtrip(["ཀ"], default_codebook)
+
+
+# --- the vectorized kernel against the scalar scan ---------------------------
+
+
+def _codebook(codes: list[str]) -> Codebook:
+    return Codebook([CodebookEntry(0x4E00 + i, code, i + 1, 0) for i, code in enumerate(codes)], "basic")
+
+
+# Codes of one to four letters (a dense kernel table), and of up to seven (a
+# searched one); both share prefixes so that greedy repairs happen.
+LONG_CB = _codebook(["B", "C", "Q", "Ba", "Bz", "Bab", "Baz", "Zzz", "Babc", "Qxyz", "Dq"])
+SPARSE_CB = _codebook(["B", "Ba", "Bab", "Babcd", "Babcde", "Xyzzyqa", "Q"])
+# Pieces of decoder input besides whole codes: letters, '@' groups, line ends
+# and passthrough characters (BMP and not), so that repairs and errors occur.
+PIECES = list("ABQXZabxyz@\n\r é·😀𝔸") + ["@@", "@@@", "ཀ", "一"]
+
+
+def _outcome(enc: str, cb: Codebook, mode: str):
+    try:
+        result = scan_decode(enc, cb, mode)
+    except TranslitError as exc:
+        return type(exc), exc.offset, str(exc)
+    return result.text, result.warnings
+
+
+def _encoded(cb: Codebook):
+    return st.lists(
+        st.one_of(st.sampled_from(sorted(cb.code_to_char)), st.sampled_from(PIECES)), max_size=40
+    ).map("".join)
+
+
+@pytest.mark.parametrize("name", ["default", "long", "sparse"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_scalar_scan(name, data, default_codebook):
+    cb = {"default": default_codebook, "long": LONG_CB, "sparse": SPARSE_CB}[name]
+    enc = data.draw(_encoded(cb))
+    text = kernel_decode(enc, cb)
+    if text is None:
+        # The kernel leaves the scan only errors, repairs and runs across '\n'.
+        if "\n" not in enc:
+            with pytest.raises(TranslitError):
+                scan_decode(enc, cb, "strict")
+        return
+    for mode in MODES:
+        assert _outcome(enc, cb, mode) == (text, [])
+    assert ref_decode(enc, cb.code_to_char) == text
+
+
+@pytest.mark.parametrize("name", ["default", "long"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decode_of_long_input_matches_scalar_scan(name, data, default_codebook):
+    cb = {"default": default_codebook, "long": LONG_CB}[name]
+    pad = "".join(sorted(cb.code_to_char)) * 10  # long enough for decode to try the kernel
+    enc = pad + data.draw(_encoded(cb)) + pad
+    for mode in MODES:
+        try:
+            got = decode(enc, cb, mode)
+        except TranslitError as exc:
+            assert (type(exc), exc.offset, str(exc)) == _outcome(enc, cb, mode)
+        else:
+            assert (got.text, got.warnings) == _outcome(enc, cb, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet=MIXED_ALPHABET + "\r𝔸一七", max_size=120))
+def test_kernel_matches_reference_on_valid_input(text, default_codebook):
+    for cb in (default_codebook, LONG_CB, SPARSE_CB):
+        enc = to_latin(text, cb)
+        assert kernel_decode(enc, cb) == ref_decode(enc, cb.code_to_char) == text
+
+
+def test_codes_longer_than_the_kernel_table_go_to_the_scan():
+    cb = _codebook(["B", "Babcdefghijklmn", "Cabcdefghijklmnopq"])  # 15 and 18 letters
+    enc = "BBabcdefghijklmnCabcdefghijklmnopq" * 20
+    assert kernel_decode(enc, cb) is None
+    assert from_latin(enc, cb) == "一丁丂" * 20
+    assert kernel_decode("B" * 300, cb) == "一" * 300
+
+
+def test_kernel_rejects_runs_across_line_ends_that_decode_accepts():
+    enc = "@a\nb@" + "B" * 300
+    assert kernel_decode(enc, CB) is None
+    assert from_latin(enc, CB) == "a\nb" + "ཀ" * 300
+
+
+def test_verify_roundtrip_lines_with_newlines_and_a_newline_code(default_codebook):
+    lines = ["a\nb", "\n", "", "ཀ\n@", "\r\n\r"] * 3000
+    newline_cb = build_basic([0x0F40, 0x0A, 0x0D])  # '\n' -> "C", '\r' -> "D"
+    for cb in (default_codebook, newline_cb):
+        expected = [from_latin(to_latin(line, cb), cb) == line for line in lines]
+        assert all(expected)
+        report = verify_roundtrip(lines, cb)
+        assert (report.total, report.failures, report.first_failure_offset) == (len(lines), 0, None)
+
+
+def test_verify_roundtrip_names_failing_lines_in_batches(default_codebook, monkeypatch):
+    import translitkit.translit as translit_mod
+
+    real = translit_mod.translator(default_codebook)
+    # Wrong text and a decoded line end in one batch; an unknown code in a later one.
+    broken = {40_000: "C", 40_005: "\n", 70_001: "Zz"}
+
+    def translator(cb):
+        count = iter(range(10**9))
+        return lambda line: broken.get(next(count), real(line))
+
+    monkeypatch.setattr(translit_mod, "translator", translator)
+    report = verify_roundtrip(["ཀ"] * 80_000, default_codebook)
+    assert (report.total, report.failures, report.first_failure_offset) == (80_000, 3, 40_000)
