@@ -216,14 +216,15 @@ def cmd_langid_train(args) -> int:
 
 def cmd_detect(args) -> int:
     model = langid.load_model(args.model)
+
+    def rows(texts: list[str]) -> str:
+        return "".join(f"{p.label}\t{p.confidence:.6f}\n" for p in langid.predict_many(texts, model))
+
     if args.text is not None:
-        texts: Iterable[str] = [args.text]
+        sys.stdout.write(rows([args.text]))
+        sys.stdout.flush()
     else:
-        texts = (text for text, _ in textio.read_lines(sys.stdin.buffer, STDIN))
-    for text in texts:
-        pred = langid.predict(text, model)
-        sys.stdout.write(f"{pred.label}\t{pred.confidence:.6f}\n")
-    sys.stdout.flush()
+        _filter(lambda block, _: [rows([text for text, _ in textio.split_lines(block)])])
     return EXIT_OK
 
 
@@ -231,15 +232,16 @@ def cmd_pipeline(args) -> int:
     cfg = config.load_pipeline_config(args.config)
     pl = Pipeline.from_config(cfg)
 
-    def fn(line: str) -> str:
-        final, trace = next(pl.batch([line]))
-        if args.trace:
-            print(trace.to_json(), file=sys.stderr)
-        if trace.error:
-            log.warning("line failed: %s", trace.error)
-        return final
+    def fn(block: str, _: int) -> Iterator[str]:
+        lines = list(textio.split_lines(block))
+        for (final, trace), (_, end) in zip(pl.batch(text for text, _ in lines), lines):
+            if args.trace:
+                print(trace.to_json(), file=sys.stderr)
+            if trace.error:
+                log.warning("line failed: %s", trace.error)
+            yield final + end
 
-    _filter(_per_line(fn))
+    _filter(fn)
     return EXIT_OK
 
 

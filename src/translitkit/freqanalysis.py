@@ -183,6 +183,10 @@ def read_tsv(src: IO[str]) -> FrequencyTable:
             count = int(fields[3])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+        if not 0 <= cp <= 0x10FFFF:
+            raise FormatError(f"line {lineno}: code point {fields[0]!r} out of range")
+        if 0xD800 <= cp <= 0xDFFF:
+            raise FormatError(f"line {lineno}: code point U+{cp:04X} is a surrogate")
         if hexval != cp:
             raise FormatError(f"line {lineno}: hex column U+{hexval:04X} != codepoint {cp}")
         if count <= 0:

@@ -13,17 +13,17 @@ import os
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import textio
 from .errors import ConfigError, FormatError, TrainingError
 
 DEFAULT_LABELS = ("bo", "mn", "ug", "zh", "other")
 DEFAULT_HASH_BUCKETS = 1 << 20
 
 _MAGIC = b"TKLID\x01\n"
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,54 @@ class LangIdModel:
             )
 
 
-def _bucket(gram: str, buckets: int) -> int:
-    h = 0
-    for ch in gram:
-        h = (h * 31 + ord(ch)) & _MASK64
-    return h % buckets
+_PRIME = np.uint64(31)
+
+
+def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ids of every character n-gram of `texts`, lo <= n <= hi, each with its text's index.
+
+    A gram hashes as ``h = h*31 + code point`` over its characters, mod 2**64
+    (numpy's uint64 arithmetic wraps the same way), then mod `buckets`. The
+    code points are UTF-32 units, so a lone surrogate counts as its own value.
+    Ids come by n, then by position in the texts laid end to end; no window
+    crosses from one text into the next. Returns ``(owner, ids)``.
+    """
+    cp = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    cp = cp.astype(np.uint64)
+    total = cp.size
+    many = len(texts) > 1
+    if many:
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        owner = np.repeat(np.arange(len(texts)), lengths)
+        # characters from each position to the end of its text, itself included
+        room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)
+    owners, ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
+    h = cp
+    for n in range(1, min(hi, total) + 1):
+        if n > 1:
+            h = h[:-1] * _PRIME + cp[n - 1 :]
+        if n < lo:
+            continue
+        if many:
+            fits = room[: h.size] >= n
+            owners.append(owner[: h.size][fits])
+            ids.append(h[fits] % np.uint64(buckets))
+        else:
+            owners.append(np.zeros(h.size, dtype=np.intp))
+            ids.append(h % np.uint64(buckets))
+    return np.concatenate(owners), np.concatenate(ids).astype(np.intp)
+
+
+def _gram_buckets(grams: Iterable[str], buckets: int) -> dict[str, int]:
+    """The bucket id of each gram, hashed whole."""
+    by_size: dict[int, list[str]] = {}
+    for g in grams:
+        by_size.setdefault(len(g), []).append(g)
+    out: dict[str, int] = {}
+    for size, same in by_size.items():
+        _, ids = _featurize(same, size, size, buckets)  # one window per gram
+        out.update(zip(same, ids.tolist()))
+    return out
 
 
 def _ngram_counts(text: str, lo: int, hi: int) -> Counter[str]:
@@ -92,20 +135,13 @@ def _ngram_counts(text: str, lo: int, hi: int) -> Counter[str]:
     return grams
 
 
-def _feature_arrays(
-    grams: Counter[str],
-    buckets: int,
-    bucket_cache: dict[str, int],
-    keep: frozenset[str] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _feature_arrays(grams: Counter[str], bucket_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ids and summed counts of the grams `bucket_of` keeps, in first-seen order."""
     agg: Counter[int] = Counter()
     for g, c in grams.items():
-        if keep is not None and g not in keep:
-            continue
-        b = bucket_cache.get(g)
-        if b is None:
-            b = bucket_cache[g] = _bucket(g, buckets)
-        agg[b] += c
+        b = bucket_of.get(g)
+        if b is not None:
+            agg[b] += c
     idx = np.fromiter(agg.keys(), dtype=np.int64, count=len(agg))
     cnt = np.fromiter(agg.values(), dtype=np.float64, count=len(agg))
     return idx, cnt
@@ -139,12 +175,11 @@ def train(
         grams = _ngram_counts(text, lo, hi)
         per_example.append(grams)
         gram_totals.update(grams)
-    keep = frozenset(g for g, c in gram_totals.items() if c >= params.min_count)
+    kept = _gram_buckets((g for g, c in gram_totals.items() if c >= params.min_count), hash_buckets)
 
     label_idx = {lab: i for i, lab in enumerate(label_list)}
-    bucket_cache: dict[str, int] = {}
     feats = [
-        (*_feature_arrays(grams, hash_buckets, bucket_cache, keep), label_idx[lab])
+        (*_feature_arrays(grams, kept), label_idx[lab])
         for grams, (_, lab) in zip(per_example, data)
     ]
 
@@ -170,31 +205,45 @@ def train(
 
 def predict(text: str, model: LangIdModel) -> Prediction:
     """Softmax over summed n-gram weights; empty text is "other" with a uniform distribution."""
+    return predict_many([text], model)[0]
+
+
+def predict_many(texts: Sequence[str], model: LangIdModel) -> list[Prediction]:
+    """`predict` for each text, with one featurizer call and one weight gather for them all."""
     labels = model.labels
-    if text == "":
-        dist = {lab: 1.0 / len(labels) for lab in labels}
-        label = "other" if "other" in labels else labels[0]
-        return Prediction(label, dist[label], dist)
-    grams = _ngram_counts(text, *model.ngram_range)
-    idx, cnt = _feature_arrays(grams, model.hash_buckets, {})
-    if idx.size:
-        scores = model.bias + cnt @ model.weights[idx]
+    if not texts:
+        return []
+    owner, ids = _featurize(texts, *model.ngram_range, model.hash_buckets)
+    rows = np.take(model.weights, ids, axis=0)
+    if len(texts) == 1:
+        scores = rows.sum(axis=0, keepdims=True)
     else:
-        scores = model.bias.copy()
-    scores = scores - scores.max()
+        scores = np.empty((len(texts), len(labels)))
+        for j in range(len(labels)):
+            scores[:, j] = np.bincount(owner, weights=rows[:, j], minlength=len(texts))
+    scores += model.bias
+    scores -= scores.max(axis=1, keepdims=True)
     p = np.exp(scores)
-    p /= p.sum()
-    best = int(np.argmax(p))
-    return Prediction(labels[best], float(p[best]), {lab: float(p[i]) for i, lab in enumerate(labels)})
+    p /= p.sum(axis=1, keepdims=True)
+    empty_label = "other" if "other" in labels else labels[0]
+    out = []
+    for text, row, best in zip(texts, p.tolist(), p.argmax(axis=1).tolist()):
+        if text == "":
+            dist = dict.fromkeys(labels, 1.0 / len(labels))
+            out.append(Prediction(empty_label, dist[empty_label], dist))
+        else:
+            out.append(Prediction(labels[best], row[best], dict(zip(labels, row))))
+    return out
 
 
 def evaluate(examples: Iterable[tuple[str, str]], model: LangIdModel) -> dict:
     """Per-label precision/recall/F1 plus macro F1 over (text, label) pairs."""
+    data = list(examples)
     tp: Counter[str] = Counter()
     fp: Counter[str] = Counter()
     fn: Counter[str] = Counter()
-    for text, gold in examples:
-        got = predict(text, model).label
+    for (_, gold), pred in zip(data, predict_many([text for text, _ in data], model)):
+        got = pred.label
         if got == gold:
             tp[gold] += 1
         else:
@@ -253,25 +302,29 @@ def load_model(path: str) -> LangIdModel:
             raise FormatError(f"{path}: bad header: {exc}") from exc
         if buckets <= 0 or not labels:
             raise FormatError(f"{path}: bad header: {buckets} buckets, {len(labels)} labels")
-        n = buckets * len(labels)
-        payload_size = 8 * (n + len(labels))
+        payload_size = 8 * (buckets + 1) * len(labels)
         if file_size - fh.tell() != payload_size:
             raise FormatError(
                 f"{path}: payload is {file_size - fh.tell()} bytes, expected {payload_size} "
                 f"for {buckets} buckets x {len(labels)} labels"
             )
-        payload = fh.read(payload_size)
-    weights = np.frombuffer(payload, dtype="<f8", count=n).reshape(buckets, len(labels)).copy()
-    bias = np.frombuffer(payload, dtype="<f8", offset=8 * n).copy()
+        weights = np.empty((buckets, len(labels)), dtype="<f8")
+        bias = np.empty(len(labels), dtype="<f8")
+        for array in (weights, bias):
+            view = memoryview(array).cast("B")
+            if fh.readinto(view) != view.nbytes:
+                raise FormatError(f"{path}: payload ends early; the file shrank while being read")
     return LangIdModel(labels, ngram_range, buckets, weights, bias, params)
 
 
 def read_labeled(path: str) -> list[tuple[str, str]]:
-    """Parse `__label__<tag><TAB><text>` lines into (text, label) pairs."""
+    """Parse `__label__<tag><TAB><text>` lines into (text, label) pairs.
+
+    Lines are read as `textio.read_lines` reads them: only ``\\n`` ends a line.
+    """
     examples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+    with open(path, "rb") as fh:
+        for lineno, (line, _) in enumerate(textio.read_lines(fh, path), start=1):
             if not line:
                 continue
             if not line.startswith("__label__") or "\t" not in line:

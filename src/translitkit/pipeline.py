@@ -128,8 +128,12 @@ class Pipeline:
         # Line filters customarily append one newline; our contract is newline-free.
         return out[:-1] if out.endswith("\n") else out
 
-    def _run(self, text: str) -> tuple[str, PipelineTrace]:
-        pred_in = langid.predict(text, self.input_model)
+    def _route(self, text: str, pred_in: langid.Prediction) -> tuple[PipelineTrace, bool]:
+        """Encode `text` as its input label asks and run the model stage on it.
+
+        Returns the trace so far and whether the encoding was lossy; a stage
+        failure is recorded in the trace.
+        """
         warnings: list[str] = []
         work = text
         encoded = False
@@ -155,44 +159,62 @@ class Pipeline:
             warnings=warnings,
         )
         try:
-            stage_out = self._run_stage(work)
+            trace.model_stage_output = self._run_stage(work)
         except TranslitError as exc:
             trace.error = f"{type(exc).__name__}: {exc}"
-            return text, trace
-        trace.model_stage_output = stage_out
+        return trace, lossy
 
-        pred_out = langid.predict(stage_out, self.output_model)
+    def _restore(
+        self, trace: PipelineTrace, lossy: bool, pred_out: langid.Prediction
+    ) -> tuple[str, PipelineTrace]:
+        """Decode the stage output back to its script if the output label asks for it."""
+        stage_out = trace.model_stage_output
         trace.output_label = pred_out.label
         trace.output_confidence = pred_out.confidence
-        final = stage_out
         if (
-            pred_out.label in LOW_RESOURCE_TAGS
-            and pred_out.confidence >= self.threshold
-            and not lossy
+            pred_out.label not in LOW_RESOURCE_TAGS
+            or pred_out.confidence < self.threshold
+            or lossy
         ):
-            try:
-                result = translit.decode(stage_out, self.codebook, self.decode_mode)
-            except TranslitError as exc:
-                trace.error = f"{type(exc).__name__}: {exc}"
-                return stage_out, trace
-            final = result.text
-            trace.restored = True
-            warnings.extend(result.warnings)
-            if encoded and pred_out.label != pred_in.label:
-                warnings.append(
-                    f"classifier disagreement: input {pred_in.label}, output {pred_out.label}"
-                )
-        return final, trace
+            return stage_out, trace
+        try:
+            result = translit.decode(stage_out, self.codebook, self.decode_mode)
+        except TranslitError as exc:
+            trace.error = f"{type(exc).__name__}: {exc}"
+            return stage_out, trace
+        trace.restored = True
+        trace.warnings.extend(result.warnings)
+        if trace.encoded and pred_out.label != trace.input_label:
+            trace.warnings.append(
+                f"classifier disagreement: input {trace.input_label}, output {pred_out.label}"
+            )
+        return result.text, trace
 
     def process(self, text: str) -> tuple[str, PipelineTrace]:
         """Run one text through all stages; raises StageError on stage failure."""
-        final, trace = self._run(text)
+        final, trace = next(self.batch([text]))
         if trace.error is not None:
             raise StageError(trace.error)
         return final, trace
 
     def batch(self, lines: Iterable[str]) -> Iterator[tuple[str, PipelineTrace]]:
-        """Per-line processing, order preserved; failures are recorded per line
-        in the trace and the stream continues."""
-        for line in lines:
-            yield self._run(line)
+        """Run every line through all stages, order preserved; failures are
+        recorded per line in the trace and the batch continues.
+
+        Each classifier sees the whole batch in one call: the input classifier
+        before any line is encoded, the output classifier once every line has
+        been through the model stage. Restoring is done line by line as the
+        results are taken.
+        """
+        texts = list(lines)
+        routed = [
+            self._route(text, pred)
+            for text, pred in zip(texts, langid.predict_many(texts, self.input_model))
+        ]
+        stage_outs = [trace.model_stage_output for trace, _ in routed if trace.error is None]
+        preds_out = iter(langid.predict_many(stage_outs, self.output_model))
+        for text, (trace, lossy) in zip(texts, routed):
+            if trace.error is not None:
+                yield text, trace
+            else:
+                yield self._restore(trace, lossy, next(preds_out))

@@ -3,10 +3,14 @@
 These deliberately share no code with the package: the encoder is a
 char-by-char state machine, the decoder parses the wire grammar one character
 at a time with exact whole-segment lookup (no greedy search), and the BPE
-applier rescans the rule list from the top after every application.
+applier rescans the rule list from the top after every application. The
+language-id oracle hashes each n-gram one character at a time and scores one
+text at a time in plain floats.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def ref_encode(text: str, char_to_code: dict[int, str]) -> str:
@@ -117,3 +121,45 @@ def naive_tokenize(text: str, merges: list[tuple[str, str]]) -> list[str]:
         else:
             out.extend(naive_bpe_word(part, merges))
     return out
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def ref_bucket(gram: str, buckets: int) -> int:
+    """The language-id n-gram hash, one character at a time: h*31 + ord mod 2**64, mod buckets."""
+    h = 0
+    for ch in gram:
+        h = (h * 31 + ord(ch)) & _MASK64
+    return h % buckets
+
+
+def ref_ngram_ids(texts: list[str], lo: int, hi: int, buckets: int) -> list[tuple[int, int]]:
+    """(text index, bucket id) of every n-gram, lo <= n <= hi: by n, then text, then position."""
+    return [
+        (t, ref_bucket(text[i : i + n], buckets))
+        for n in range(lo, hi + 1)
+        for t, text in enumerate(texts)
+        for i in range(len(text) - n + 1)
+    ]
+
+
+def ref_predict(text: str, model) -> tuple[str, dict[str, float]]:
+    """Label and distribution of one text with plain floats: counts per bucket, scores, softmax."""
+    labels = list(model.labels)
+    if text == "":
+        return ("other" if "other" in labels else labels[0]), {lab: 1 / len(labels) for lab in labels}
+    lo, hi = model.ngram_range
+    counts: dict[int, int] = {}
+    for _, b in ref_ngram_ids([text], lo, hi, model.hash_buckets):
+        counts[b] = counts.get(b, 0) + 1
+    scores = [float(x) for x in model.bias]
+    for b, c in counts.items():
+        row = model.weights[b]
+        for j in range(len(labels)):
+            scores[j] += c * float(row[j])
+    top = max(scores)
+    exps = [math.exp(s - top) for s in scores]
+    total = sum(exps)
+    dist = {lab: e / total for lab, e in zip(labels, exps)}
+    return max(labels, key=dist.__getitem__), dist

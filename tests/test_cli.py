@@ -8,9 +8,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from translitkit import codebook, synth, translit
+from translitkit import codebook, langid, synth, translit
 from translitkit.cli import main
+from translitkit.config import load_pipeline_config
 from translitkit.errors import TranslitError
+from translitkit.pipeline import Pipeline
 from translitkit.textio import BLOCK_SIZE
 from translitkit.translit import from_latin, to_latin
 
@@ -406,3 +408,46 @@ def test_decode_cli_matches_per_line_scan(workspace, lines, mode):
         assert (status, stderr.getvalue()) == (2, error)
     else:
         assert status == 0
+
+
+# --- detect and pipeline over several input blocks ---------------------------
+
+
+def _lines_past_a_block(lines: list[str]) -> list[str]:
+    """The corpus lines repeated until they fill more than two input blocks."""
+    out: list[str] = []
+    while sum(len(line.encode("utf-8")) + 1 for line in out) < 2 * BLOCK_SIZE + 100:
+        out.extend(lines)
+    return out
+
+
+def test_detect_stdin_across_blocks_one_row_per_line(workspace):
+    root, _, lines = workspace
+    model = langid.load_model(str(root / "in.lid"))
+    texts = _lines_past_a_block(lines)
+    texts[3:3] = ["", "ab\rcd", "\rx"]
+    texts[len(texts) // 2 : len(texts) // 2] = ["", "ཀཁ\rག"]
+    data = ("\n".join(texts) + "\n").encode("utf-8")
+    assert len(data) > 2 * BLOCK_SIZE
+    code, out = _pipe(["detect", "--model", str(root / "in.lid")], data)
+    assert code == 0
+    preds = [langid.predict(text, model) for text in texts]
+    expected = "".join(f"{p.label}\t{p.confidence:.6f}\n" for p in preds)
+    assert out.decode("utf-8") == expected
+    # the last line needs no terminator
+    code, out = _pipe(["detect", "--model", str(root / "in.lid")], data[:-1])
+    assert code == 0 and out.decode("utf-8") == expected
+
+
+def test_pipeline_across_blocks_matches_per_line(workspace, capsys):
+    root, _, lines = workspace
+    texts = _lines_past_a_block(lines) + ["", "ab\rcd"]
+    data = "".join(text + ("\r\n" if i % 5 == 0 else "\n") for i, text in enumerate(texts))
+    code, out = _pipe(["pipeline", "--config", str(root / "pipeline.cfg"), "--trace"], data.encode("utf-8"))
+    assert code == 0
+    assert out.decode("utf-8") == data
+    pl = Pipeline.from_config(load_pipeline_config(str(root / "pipeline.cfg")))
+    one_by_one = [next(pl.batch([text])) for text in texts]
+    assert [final for final, _ in one_by_one] == texts
+    traces = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert traces == [trace.to_json() for _, trace in one_by_one]

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from translitkit.cli import main
 from translitkit.errors import ConfigError, FormatError, InputError
 from translitkit.freqanalysis import (
     DEFAULT_SCRIPT_RANGES,
@@ -145,6 +146,24 @@ def test_tsv_rejects_bad_fields():
         read_tsv(io.StringIO("3904\tU+0F41\tTibetan\t2\n"))  # hex mismatch
     with pytest.raises(FormatError):
         read_tsv(io.StringIO("3904\tU+0F40\tTibetan\t0\n"))  # non-positive count
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1114112\tU+110000\tother\t1", "line 2: code point '1114112' out of range"),
+        ("-1\tU+-1\tother\t1", "line 2: code point '-1' out of range"),
+        ("55296\tU+D800\tTibetan\t1", "line 2: code point U\\+D800 is a surrogate"),
+    ],
+)
+def test_tsv_rejects_impossible_code_points(tmp_path, capsys, row, message):
+    text = f"#scripts=Tibetan\n{row}\n3904\tU+0F40\tTibetan\t2\n"
+    with pytest.raises(FormatError, match=message):
+        read_tsv(io.StringIO(text))
+    freq = tmp_path / "freq.tsv"
+    freq.write_text(text, encoding="utf-8")
+    assert main(["build-codebook", "--freq", str(freq), "--strategy", "basic"]) == 2
+    assert capsys.readouterr().err.startswith("error: FormatError: line 2: code point")
 
 
 def test_scan_file_reports_byte_offset(tmp_path):

@@ -1,19 +1,22 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from translitkit import synth
+from reference import ref_ngram_ids, ref_predict
+from translitkit import langid, synth
 from translitkit.cli import main
-from translitkit.errors import ConfigError, FormatError, TrainingError
+from translitkit.errors import ConfigError, FormatError, InputError, TrainingError
 from translitkit.langid import (
     LangIdModel,
     TrainingParams,
     evaluate,
     load_model,
     predict,
+    predict_many,
     read_labeled,
     save_model,
     train,
@@ -156,6 +159,20 @@ def test_save_load_roundtrip(tmp_path, toy_model):
     assert np.array_equal(loaded.bias, toy_model.bias)
     for text in ["abab", "xyzzy", ""]:
         assert predict(text, loaded) == predict(text, toy_model)
+    texts = ["abab", "", "xyzzy zyx", "q", "ab\rxy"] * 3
+    assert predict_many(texts, loaded) == predict_many(texts, toy_model)
+
+
+def test_load_rejects_a_file_that_shrinks_while_read(tmp_path, toy_model, monkeypatch):
+    good = tmp_path / "good.lid"
+    save_model(toy_model, str(good))
+    size = good.stat().st_size
+    shrunk = tmp_path / "shrunk.lid"
+    shrunk.write_bytes(good.read_bytes()[:-16])
+    # fstat reports the size the file had before it shrank
+    monkeypatch.setattr(langid.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(FormatError, match="payload ends early"):
+        load_model(str(shrunk))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -202,6 +219,16 @@ def test_read_labeled(tmp_path):
         read_labeled(str(bad))
 
 
+def test_read_labeled_lines_end_only_at_newline(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_bytes("__label__bo\tཀཁ\rག\n__label__other\thi\r\n\n__label__mn\tᠠ".encode("utf-8"))
+    assert read_labeled(str(path)) == [("ཀཁ\rག", "bo"), ("hi", "other"), ("ᠠ", "mn")]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"__label__bo\tab\n__label__bo\t\xff\n")
+    with pytest.raises(InputError, match="invalid UTF-8 at byte offset 27"):
+        read_labeled(str(bad))
+
+
 def test_presets_match_recorded_hyperparameters():
     inp = TrainingParams.input_defaults()
     out = TrainingParams.output_defaults()
@@ -211,3 +238,65 @@ def test_presets_match_recorded_hyperparameters():
     assert (out.dim, out.window) == (150, 7)
     assert inp.ngram_range == (1, 3)
     assert out.ngram_range == (2, 4)
+
+
+# --- the vectorized featurizer and the batched predictor ---------------------
+
+# Non-BMP characters, lone surrogates and line terminators made common.
+_GRAM_CHARS = st.one_of(
+    st.characters(),
+    st.characters(categories=["Cs"]),
+    st.sampled_from("\n\r\U0001F600\U00010000\U0010FFFFaཀ"),
+)
+_BUCKETS = st.one_of(st.sampled_from([1, 2, 3, 1000, 65537, 1 << 20]), st.integers(1, 1 << 62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(st.text(_GRAM_CHARS, max_size=12), max_size=6),
+    lo=st.integers(1, 6),
+    span=st.integers(0, 5),
+    buckets=_BUCKETS,
+)
+def test_featurize_matches_scalar_hash(texts, lo, span, buckets):
+    hi = min(lo + span, 6)
+    owner, ids = langid._featurize(texts, lo, hi, buckets)
+    assert list(zip(owner.tolist(), ids.tolist())) == ref_ngram_ids(texts, lo, hi, buckets)
+
+
+@pytest.fixture(scope="module")
+def script_model():
+    rng = random.Random(44)
+    return train(
+        synth.labeled_lines(rng, 60), TrainingParams(epochs=2, min_count=1), hash_buckets=1 << 12
+    )
+
+
+_ROUTE_LINES = synth.mixed_lines(random.Random(45), 30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.text(_GRAM_CHARS, max_size=30), st.sampled_from(_ROUTE_LINES)), max_size=8))
+def test_predict_many_matches_scalar_reference(script_model, texts):
+    preds = predict_many(texts, script_model)
+    assert len(preds) == len(texts)
+    for text, pred in zip(texts, preds):
+        label, dist = ref_predict(text, script_model)
+        assert pred.label == label
+        assert pred.confidence == pred.distribution[label]
+        assert list(pred.distribution) == list(dist)
+        for lab, p in dist.items():
+            assert abs(pred.distribution[lab] - p) <= 1e-12
+
+
+def test_predict_is_a_batch_of_one(script_model):
+    texts = synth.mixed_lines(random.Random(46), 40) + ["", "x"]
+    assert predict_many(texts, script_model) == [predict(text, script_model) for text in texts]
+    assert predict_many([], script_model) == []
+
+
+def test_train_hashes_kept_grams_like_the_featurizer():
+    grams = ["ab", "a", "\U0001F600x", "\ud800", "xyzzy"]
+    assert langid._gram_buckets(grams, 1000) == {
+        g: ref_ngram_ids([g], len(g), len(g), 1000)[0][1] for g in grams
+    }
