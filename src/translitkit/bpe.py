@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import textio
 from .errors import ConfigError, FormatError
 
 _WS_SPLIT = re.compile(r"(\s+)")
@@ -184,8 +185,25 @@ def histogram_tsv(hist: dict[int, int]) -> str:
     )
 
 
+def _check_storable(token: str, filename: str, forbidden: str) -> None:
+    """Raise FormatError unless `token` reads back unchanged from its line of `filename`."""
+    if not token or token.endswith("\r") or any(c in token for c in forbidden):
+        raise FormatError(
+            f"{filename} cannot store {token!r}: a token must be non-empty, "
+            f"contain none of {forbidden!r} and not end in '\\r'"
+        )
+
+
 def save_model(model: BpeModel, dirpath: str) -> None:
-    """Write `vocab.txt` (one token per line) and `merges.txt` (one pair per line)."""
+    """Write `vocab.txt` (one token per line) and `merges.txt` (one pair per line).
+
+    A token either file could not give back raises FormatError before anything is written.
+    """
+    for token in model.vocab:
+        _check_storable(token, "vocab.txt", "\n")
+    for pair in model.merges:
+        for symbol in pair:
+            _check_storable(symbol, "merges.txt", "\n ")
     os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, "vocab.txt"), "w", encoding="utf-8", newline="\n") as fh:
         for token in model.vocab:
@@ -200,20 +218,13 @@ def load_model(dirpath: str, byte_fallback: bool = False) -> BpeModel:
     merges_path = os.path.join(dirpath, "merges.txt")
     if not os.path.isfile(vocab_path) or not os.path.isfile(merges_path):
         raise ConfigError(f"{dirpath}: expected vocab.txt and merges.txt")
-    vocab = []
-    with open(vocab_path, encoding="utf-8", newline="") as fh:
-        for line in fh:
-            token = line.rstrip("\n").rstrip("\r")
-            if token:
-                vocab.append(token)
+    vocab = [token for token, _ in textio.read_file(vocab_path) if token]
     merges = []
-    with open(merges_path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise FormatError(f"merges.txt line {lineno}: expected two space-separated symbols")
-            merges.append((parts[0], parts[1]))
+    for lineno, (line, _) in enumerate(textio.read_file(merges_path), start=1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise FormatError(f"merges.txt line {lineno}: expected two space-separated symbols")
+        merges.append((parts[0], parts[1]))
     return BpeModel(vocab, merges, byte_fallback)

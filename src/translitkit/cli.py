@@ -54,12 +54,6 @@ def _open_out(path: str | None):
         sys.stdout.flush()
 
 
-def _file_lines(path: str, keep_ends: bool = False) -> Iterator[str]:
-    with open(path, "rb") as fh:
-        for text, end in textio.read_lines(fh, path):
-            yield text + end if keep_ends else text
-
-
 def _filter(fn: Callable[[str, int], Iterable[str]]) -> None:
     """stdin -> stdout in blocks of whole lines.
 
@@ -88,8 +82,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_codebook(args) -> int:
-    with open(args.freq, encoding="utf-8", newline="") as fh:
-        table = freqanalysis.read_tsv(fh)
+    with open(args.freq, "rb") as fh:
+        table = freqanalysis.read_tsv(fh, args.freq)
     scripts = [s for s in args.scripts.split(",") if s] if args.scripts else None
     chars = freqanalysis.merged_charset(table, min_count=args.min_count, scripts=scripts)
     profile = config.load_profile(args.profile) if args.profile else DEFAULT_PROFILE
@@ -147,7 +141,7 @@ def cmd_decode(args) -> int:
 
 def cmd_verify(args) -> int:
     cb = codebook.load_path(args.codebook)
-    report = translit.verify_roundtrip(_file_lines(args.corpus), cb)
+    report = translit.verify_roundtrip((text for text, _ in textio.read_file(args.corpus)), cb)
     out = sys.stdout
     out.write(f"total: {report.total}\n")
     out.write(f"failures: {report.failures}\n")
@@ -159,12 +153,9 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     model = bpe.load_model(args.bpe)
-    ob, eb, fr = metrics.file_compression(
-        _file_lines(args.original, keep_ends=True), _file_lines(args.encoded, keep_ends=True)
-    )
-    ot, et, tr = metrics.token_compression(
-        _file_lines(args.original), _file_lines(args.encoded), model
-    )
+    paths = (args.original, args.encoded)
+    ob, eb, fr = metrics.file_compression(*((t + end for t, end in textio.read_file(p)) for p in paths))
+    ot, et, tr = metrics.token_compression(*((t for t, _ in textio.read_file(p)) for p in paths), model)
     report = metrics.CompressionReport(
         ob, eb, fr, ot, et, tr, language_tag=args.lang, empty=(ob == 0 and ot == 0)
     )
@@ -181,7 +172,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bpe_train(args) -> int:
-    model = bpe.train(_file_lines(args.corpus), args.vocab_size)
+    model = bpe.train((text for text, _ in textio.read_file(args.corpus)), args.vocab_size)
     bpe.save_model(model, args.out)
     log.info("trained BPE model: %d tokens, %d merges -> %s", len(model.vocab), len(model.merges), args.out)
     return EXIT_OK
@@ -350,7 +341,7 @@ def main(argv: Iterable[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_DATA
 

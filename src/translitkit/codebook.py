@@ -8,8 +8,9 @@ for codes and preserved runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, BinaryIO, Iterable
 
+from . import textio
 from .bpe import BpeModel
 from .codespace import CodeSpaceProfile, DEFAULT_PROFILE, enumerate_codes, is_valid_code
 from .errors import CapacityError, ConfigError, FormatError, IntegrityError
@@ -166,8 +167,10 @@ def save(cb: Codebook, out: IO[str]) -> None:
         out.write(f"{e.codepoint:04X}\t{e.code}\t{e.rank}\t{e.token_count}\n")
 
 
-def load(src: IO[str]) -> Codebook:
-    header = src.readline().rstrip("\n").rstrip("\r")
+def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
+    """Parse the TSV that `save` writes from a binary stream; `name` labels UTF-8 errors."""
+    lines = textio.read_lines(src, name)
+    header = next(lines, ("", ""))[0]
     if not header.startswith("#strategy="):
         raise FormatError("line 1: expected header '#strategy=<s> freq_digest=<hex>'")
     fields = dict(
@@ -178,8 +181,7 @@ def load(src: IO[str]) -> Codebook:
     entries = []
     seen_chars: dict[int, int] = {}
     seen_codes: dict[str, int] = {}
-    for lineno, line in enumerate(src, start=2):
-        line = line.rstrip("\n").rstrip("\r")
+    for lineno, (line, _) in enumerate(lines, start=2):
         if not line or line.startswith("#"):
             continue
         cols = line.split("\t")
@@ -218,21 +220,17 @@ def save_path(cb: Codebook, path: str) -> None:
 
 
 def load_path(path: str) -> Codebook:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return load(fh)
+    with open(path, "rb") as fh:
+        return load(fh, path)
 
 
-def load_transform(src: IO[str] | str) -> dict[int, str]:
+def load_transform(path: str) -> dict[int, str]:
     """Load a lossy char->string table (e.g. hanzi to pinyin): `codepoint_hex<TAB>replacement`.
 
     Output of a transform is not restorable; encoders treat it as plain text.
     """
-    if isinstance(src, str):
-        with open(src, encoding="utf-8", newline="") as fh:
-            return load_transform(fh)
     table: dict[int, str] = {}
-    for lineno, line in enumerate(src, start=1):
-        line = line.rstrip("\n").rstrip("\r")
+    for lineno, (line, _) in enumerate(textio.read_file(path), start=1):
         if not line or line.startswith("#"):
             continue
         cols = line.split("\t")

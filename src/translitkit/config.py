@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 
+from . import textio
 from .codespace import UPPER, CodeSpaceProfile
 from .errors import ConfigError
 from .freqanalysis import ScriptRange
@@ -16,18 +17,17 @@ from .pipeline import PipelineConfig
 
 def load_kv(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path} line {lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if key in pairs:
-                raise ConfigError(f"{path} line {lineno}: duplicate key {key!r}")
-            pairs[key] = value.strip()
+    for lineno, (line, _) in enumerate(textio.read_file(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path} line {lineno}: expected 'key = value'")
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        if key in pairs:
+            raise ConfigError(f"{path} line {lineno}: duplicate key {key!r}")
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -153,8 +153,6 @@ def load_training_params(path: str) -> tuple[TrainingParams, int]:
             _get_int(pairs, "ngram_max", base.ngram_range[1], path),
         ),
         min_count=_get_int(pairs, "min_count", base.min_count, path),
-        dim=_get_int(pairs, "dim", base.dim, path),
-        window=_get_int(pairs, "window", base.window, path),
         seed=_get_int(pairs, "seed", base.seed, path),
     )
     buckets = _get_int(pairs, "hash_buckets", DEFAULT_HASH_BUCKETS, path)

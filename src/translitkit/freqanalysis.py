@@ -6,10 +6,10 @@ import hashlib
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, BinaryIO, Iterable
 
+from . import textio
 from .errors import ConfigError, FormatError, IntegrityError
-from .textio import read_lines
 
 OTHER = "other"
 
@@ -104,10 +104,9 @@ def scan_file(path: str, ranges: Iterable[ScriptRange] = DEFAULT_SCRIPT_RANGES) 
 
     Line terminators are not counted; a leading BOM is ignored.
     """
-    with open(path, "rb") as fh:
-        lines = (text for text, _ in read_lines(fh, path))
-        first = next(lines, "").removeprefix("\ufeff")
-        return scan_corpus(itertools.chain([first], lines), ranges)
+    lines = (text for text, _ in textio.read_file(path))
+    first = next(lines, "").removeprefix("\ufeff")
+    return scan_corpus(itertools.chain([first], lines), ranges)
 
 
 def charset_for(freq: FrequencyTable, script: str, min_count: int = 1) -> list[int]:
@@ -161,12 +160,12 @@ def write_tsv(freq: FrequencyTable, out: IO[str]) -> None:
         out.write(f"{cp}\tU+{cp:04X}\t{freq.script_of[cp]}\t{freq.counts[cp]}\n")
 
 
-def read_tsv(src: IO[str]) -> FrequencyTable:
+def read_tsv(src: BinaryIO, name: str = "<frequency tsv>") -> FrequencyTable:
+    """Parse the TSV that `write_tsv` writes from a binary stream; `name` labels UTF-8 errors."""
     counts: dict[int, int] = {}
     script_of: dict[int, str] = {}
     scripts: frozenset[str] = frozenset()
-    for lineno, line in enumerate(src, start=1):
-        line = line.rstrip("\n").rstrip("\r")
+    for lineno, (line, _) in enumerate(textio.read_lines(src, name), start=1):
         if not line:
             continue
         if line.startswith("#"):

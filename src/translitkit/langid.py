@@ -28,15 +28,12 @@ _MAGIC = b"TKLID\x01\n"
 
 @dataclass(frozen=True)
 class TrainingParams:
-    """Hyperparameters; `dim` and `window` are recorded for provenance only
-    (a linear model has no embedding), the rest drive training."""
+    """Hyperparameters that drive training; `seed` is recorded for provenance."""
 
     learning_rate: float = 0.1
     epochs: int = 25
     ngram_range: tuple[int, int] = (1, 3)
     min_count: int = 5
-    dim: int = 100
-    window: int = 5
     seed: int = 0
 
     @classmethod
@@ -47,7 +44,7 @@ class TrainingParams:
     @classmethod
     def output_defaults(cls) -> "TrainingParams":
         """Transliterated-text classifier preset; longer n-grams capture code patterns."""
-        return cls(learning_rate=0.05, epochs=30, ngram_range=(2, 4), min_count=3, dim=150, window=7)
+        return cls(learning_rate=0.05, epochs=30, ngram_range=(2, 4), min_count=3)
 
 
 @dataclass
@@ -293,12 +290,14 @@ def load_model(path: str) -> LangIdModel:
         try:
             header = json.loads(fh.read(blob_len).decode("utf-8"))
             labels = list(header["labels"])
-            ngram_range = tuple(int(n) for n in header["ngram_range"])
+            lo, hi = (int(n) for n in header["ngram_range"])
+            ngram_range = (lo, hi)
             buckets = int(header["hash_buckets"])
-            tp = header["training_params"]
+            # older models also record "dim" and "window", which never drove training
+            tp = {k: v for k, v in header["training_params"].items() if k not in ("dim", "window")}
             tp["ngram_range"] = tuple(tp["ngram_range"])
             params = TrainingParams(**tp)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise FormatError(f"{path}: bad header: {exc}") from exc
         if buckets <= 0 or not labels:
             raise FormatError(f"{path}: bad header: {buckets} buckets, {len(labels)} labels")
@@ -318,17 +317,13 @@ def load_model(path: str) -> LangIdModel:
 
 
 def read_labeled(path: str) -> list[tuple[str, str]]:
-    """Parse `__label__<tag><TAB><text>` lines into (text, label) pairs.
-
-    Lines are read as `textio.read_lines` reads them: only ``\\n`` ends a line.
-    """
+    """Parse `__label__<tag><TAB><text>` lines into (text, label) pairs."""
     examples = []
-    with open(path, "rb") as fh:
-        for lineno, (line, _) in enumerate(textio.read_lines(fh, path), start=1):
-            if not line:
-                continue
-            if not line.startswith("__label__") or "\t" not in line:
-                raise FormatError(f"line {lineno}: expected '__label__<tag>\\t<text>'")
-            tag, text = line.split("\t", 1)
-            examples.append((text, tag[len("__label__") :]))
+    for lineno, (line, _) in enumerate(textio.read_file(path), start=1):
+        if not line:
+            continue
+        if not line.startswith("__label__") or "\t" not in line:
+            raise FormatError(f"line {lineno}: expected '__label__<tag>\\t<text>'")
+        tag, text = line.split("\t", 1)
+        examples.append((text, tag[len("__label__") :]))
     return examples

@@ -1,6 +1,7 @@
 """The one reader for line-oriented input: strict UTF-8, in blocks of whole lines.
 
-Only ``\\n`` ends a line. A ``\\r`` before it belongs to the terminator; any other
+Every file and stream the toolkit reads as text comes through here. Only
+``\\n`` ends a line. A ``\\r`` before it belongs to the terminator; any other
 ``\\r`` stays in the text, so writing ``text + end`` back reproduces the input
 byte for byte.
 """
@@ -71,3 +72,9 @@ def read_lines(stream: BinaryIO, name: str) -> Iterator[tuple[str, str]]:
     """
     for block in read_blocks(stream, name):
         yield from split_lines(block)
+
+
+def read_file(path: str) -> Iterator[tuple[str, str]]:
+    """`read_lines` over the file at `path`; errors name the path."""
+    with open(path, "rb") as fh:
+        yield from read_lines(fh, path)

@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -202,6 +203,49 @@ def test_save_load_preserves_whitespace_token(tmp_path):
 def test_load_missing_dir(tmp_path):
     with pytest.raises(ConfigError):
         load_model(str(tmp_path / "nope"))
+
+
+@pytest.mark.parametrize(
+    "model, token",
+    [
+        (train(["ab \rcd", "ab cd"], target_vocab=12), " \r"),  # a whitespace run ending in "\r"
+        (BpeModel(["a", "b\nc"], []), "b\nc"),
+        (BpeModel(["a", ""], []), ""),
+        (BpeModel(["a b", "c", "a bc"], [("a b", "c")]), "a b"),  # fine in vocab.txt, not in merges.txt
+    ],
+)
+def test_save_refuses_tokens_the_reader_cannot_give_back(tmp_path, model, token):
+    out = tmp_path / "m"
+    with pytest.raises(FormatError, match=re.escape(f"cannot store {token!r}:")):
+        save_model(model, str(out))
+    assert not out.exists()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.text(st.sampled_from("ab \t\r\n\x0b\x85\u2028"), max_size=8), min_size=1, max_size=4))
+def test_every_saved_model_loads_back_equal(tmp_path_factory, corpus):
+    try:
+        model = train(corpus, target_vocab=16)
+    except ConfigError:  # empty corpus or too large an alphabet
+        return
+    out = tmp_path_factory.mktemp("m")
+    try:
+        save_model(model, str(out))
+    except FormatError:
+        return
+    assert load_model(str(out)) == model
+
+
+def test_bpe_train_refuses_an_unreadable_model(tmp_path, capsys):
+    from translitkit.cli import main
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"ab \rcd\nab cd\n")
+    out = tmp_path / "m"
+    assert main(["bpe-train", str(corpus), "--vocab-size", "12", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: vocab.txt cannot store ' \\r'")
+    assert not out.exists()
 
 
 def test_load_tolerates_crlf(tmp_path):

@@ -153,8 +153,7 @@ def test_save_load_roundtrip(chars_162):
     cb = build_basic(chars_162, source_digest="abcd1234abcd1234")
     buf = io.StringIO()
     save(cb, buf)
-    buf.seek(0)
-    loaded = load(buf)
+    loaded = load(io.BytesIO(buf.getvalue().encode()))
     assert loaded == cb
     assert loaded.char_to_code == cb.char_to_code
     assert loaded.source_freq_digest == "abcd1234abcd1234"
@@ -162,7 +161,7 @@ def test_save_load_roundtrip(chars_162):
 
 def test_load_handwritten_two_rows():
     text = "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n0F41\tAa\t2\t0\n"
-    cb = load(io.StringIO(text))
+    cb = load(io.BytesIO(text.encode()))
     assert cb.char_to_code == {0x0F40: "B", 0x0F41: "Aa"}
     assert cb.code_to_char == {"B": 0x0F40, "Aa": 0x0F41}
 
@@ -170,19 +169,19 @@ def test_load_handwritten_two_rows():
 def test_load_duplicate_code_names_line():
     text = "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n0F41\tB\t2\t0\n"
     with pytest.raises(IntegrityError, match="line 3"):
-        load(io.StringIO(text))
+        load(io.BytesIO(text.encode()))
 
 
 def test_load_duplicate_char_names_line():
     text = "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n0F40\tC\t2\t0\n"
     with pytest.raises(IntegrityError, match="line 3"):
-        load(io.StringIO(text))
+        load(io.BytesIO(text.encode()))
 
 
 def test_load_invalid_code_pattern():
     text = "#strategy=basic freq_digest=\n0F40\tbb\t1\t0\n"
     with pytest.raises(FormatError):
-        load(io.StringIO(text))
+        load(io.BytesIO(text.encode()))
 
 
 @pytest.mark.parametrize(
@@ -197,17 +196,17 @@ def test_load_invalid_code_pattern():
 def test_load_rejects_impossible_code_points(cell, message):
     text = f"#strategy=basic freq_digest=\n0F40\tB\t1\t0\n{cell}\tC\t2\t0\n"
     with pytest.raises(FormatError, match=message):
-        load(io.StringIO(text))
+        load(io.BytesIO(text.encode()))
 
 
 def test_load_accepts_the_last_code_point():
-    cb = load(io.StringIO("#strategy=basic freq_digest=\n10FFFF\tB\t1\t0\nE000\tC\t2\t0\n"))
+    cb = load(io.BytesIO("#strategy=basic freq_digest=\n10FFFF\tB\t1\t0\nE000\tC\t2\t0\n".encode()))
     assert cb.code_to_char == {"B": 0x10FFFF, "C": 0xE000}
 
 
 def test_load_missing_header():
     with pytest.raises(FormatError, match="line 1"):
-        load(io.StringIO("0F40\tB\t1\t0\n"))
+        load(io.BytesIO("0F40\tB\t1\t0\n".encode()))
 
 
 def test_unknown_strategy_rejected():
@@ -215,10 +214,16 @@ def test_unknown_strategy_rejected():
         Codebook([CodebookEntry(0x0F40, "B", 1, 0)], "fancy")
 
 
-def test_load_transform():
-    table = load_transform(io.StringIO("4F60\tni3\n597D\thao3\n"))
+def test_load_transform(tmp_path):
+    path = tmp_path / "transform.tsv"
+
+    def load_text(text: str) -> dict[int, str]:
+        path.write_text(text, encoding="utf-8")
+        return load_transform(str(path))
+
+    table = load_text("4F60\tni3\n597D\thao3\n")
     assert table == {0x4F60: "ni3", 0x597D: "hao3"}
     with pytest.raises(IntegrityError):
-        load_transform(io.StringIO("4F60\tni3\n4F60\tni\n"))
+        load_text("4F60\tni3\n4F60\tni\n")
     with pytest.raises(FormatError):
-        load_transform(io.StringIO("4F60\n"))
+        load_text("4F60\n")

@@ -118,8 +118,7 @@ def test_tsv_roundtrip():
     table = scan_corpus(["ཀཀཁ mixed ᠠ"], DEFAULT_SCRIPT_RANGES)
     buf = io.StringIO()
     write_tsv(table, buf)
-    buf.seek(0)
-    loaded = read_tsv(buf)
+    loaded = read_tsv(io.BytesIO(buf.getvalue().encode()))
     assert loaded.counts == table.counts
     assert loaded.script_of == table.script_of
     assert loaded.scripts == table.scripts
@@ -138,14 +137,14 @@ def test_tsv_sorted_by_count():
 def test_tsv_rejects_duplicates():
     bad = "3904\tU+0F40\tTibetan\t2\n3904\tU+0F40\tTibetan\t1\n"
     with pytest.raises(Exception, match="line 2"):
-        read_tsv(io.StringIO(bad))
+        read_tsv(io.BytesIO(bad.encode()))
 
 
 def test_tsv_rejects_bad_fields():
     with pytest.raises(FormatError):
-        read_tsv(io.StringIO("3904\tU+0F41\tTibetan\t2\n"))  # hex mismatch
+        read_tsv(io.BytesIO("3904\tU+0F41\tTibetan\t2\n".encode()))  # hex mismatch
     with pytest.raises(FormatError):
-        read_tsv(io.StringIO("3904\tU+0F40\tTibetan\t0\n"))  # non-positive count
+        read_tsv(io.BytesIO("3904\tU+0F40\tTibetan\t0\n".encode()))  # non-positive count
 
 
 @pytest.mark.parametrize(
@@ -159,7 +158,7 @@ def test_tsv_rejects_bad_fields():
 def test_tsv_rejects_impossible_code_points(tmp_path, capsys, row, message):
     text = f"#scripts=Tibetan\n{row}\n3904\tU+0F40\tTibetan\t2\n"
     with pytest.raises(FormatError, match=message):
-        read_tsv(io.StringIO(text))
+        read_tsv(io.BytesIO(text.encode()))
     freq = tmp_path / "freq.tsv"
     freq.write_text(text, encoding="utf-8")
     assert main(["build-codebook", "--freq", str(freq), "--strategy", "basic"]) == 2

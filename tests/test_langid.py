@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -163,6 +165,44 @@ def test_save_load_roundtrip(tmp_path, toy_model):
     assert predict_many(texts, loaded) == predict_many(texts, toy_model)
 
 
+def _edit_header(path: str, out, edit) -> str:
+    """A copy of the model at `path`, written to `out`, whose JSON header `edit` changed in place."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(langid._MAGIC) + 4
+    (blob_len,) = struct.unpack("<I", data[len(langid._MAGIC) : start])
+    header = json.loads(data[start : start + blob_len])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    out.write_bytes(langid._MAGIC + struct.pack("<I", len(blob)) + blob + data[start + blob_len :])
+    return str(out)
+
+
+def test_load_accepts_headers_that_record_dim_and_window(tmp_path, toy_model):
+    path = str(tmp_path / "model.lid")
+    save_model(toy_model, path)
+    old = _edit_header(path, tmp_path / "old.lid", lambda h: h["training_params"].update(dim=150, window=7))
+    old = load_model(old)
+    assert old.training_params == toy_model.training_params
+    texts = ["abab", "", "xyzzy zyx", "q"]
+    assert predict_many(texts, old) == predict_many(texts, toy_model)
+    odd = _edit_header(path, tmp_path / "odd.lid", lambda h: h["training_params"].update(dim=150, depth=2))
+    with pytest.raises(FormatError, match="bad header"):
+        load_model(odd)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("ngram_range", [3]), ("ngram_range", [1, 2, 3]), ("hash_buckets", float("inf")), ("training_params", [])],
+)
+def test_detect_on_a_bad_header_value_exits_2(tmp_path, toy_model, capsys, key, value):
+    path = str(tmp_path / "model.lid")
+    save_model(toy_model, path)
+    bad = _edit_header(path, tmp_path / "bad.lid", lambda h: h.update({key: value}))
+    assert main(["detect", "abab", "--model", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: FormatError: {bad}: bad header")
+
+
 def test_load_rejects_a_file_that_shrinks_while_read(tmp_path, toy_model, monkeypatch):
     good = tmp_path / "good.lid"
     save_model(toy_model, str(good))
@@ -233,9 +273,7 @@ def test_presets_match_recorded_hyperparameters():
     inp = TrainingParams.input_defaults()
     out = TrainingParams.output_defaults()
     assert (inp.learning_rate, inp.epochs, inp.min_count) == (0.1, 25, 5)
-    assert (inp.dim, inp.window) == (100, 5)
     assert (out.learning_rate, out.epochs, out.min_count) == (0.05, 30, 3)
-    assert (out.dim, out.window) == (150, 7)
     assert inp.ngram_range == (1, 3)
     assert out.ngram_range == (2, 4)
 
