@@ -24,7 +24,6 @@ from .freqanalysis import (
     DEFAULT_SCRIPT_RANGES,
     FrequencyTable,
     ScriptRange,
-    charset_for,
     merged_charset,
     scan_corpus,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_SCRIPT_RANGES",
     "FrequencyTable",
     "ScriptRange",
-    "charset_for",
     "merged_charset",
     "scan_corpus",
     "LangIdModel",

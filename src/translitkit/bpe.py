@@ -16,6 +16,7 @@ from . import textio
 from .errors import ConfigError, FormatError
 
 _WS_SPLIT = re.compile(r"(\s+)")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a lone surrogate has no UTF-8 encoding
 _CACHE_CAP = 1 << 20
 
 
@@ -178,18 +179,11 @@ def token_length_histogram(strings, model: BpeModel) -> dict[int, int]:
     return hist
 
 
-def histogram_tsv(hist: dict[int, int]) -> str:
-    """Histogram report rows `bucket<TAB>count`; the open-ended bucket prints as 4+."""
-    return "".join(
-        f"{bucket if bucket < 4 else '4+'}\t{hist.get(bucket, 0)}\n" for bucket in (1, 2, 3, 4)
-    )
-
-
 def _check_storable(token: str, filename: str, forbidden: str) -> None:
     """Raise FormatError unless `token` reads back unchanged from its line of `filename`."""
-    if not token or token.endswith("\r") or any(c in token for c in forbidden):
+    if not token or token.endswith("\r") or any(c in token for c in forbidden) or _SURROGATE.search(token):
         raise FormatError(
-            f"{filename} cannot store {token!r}: a token must be non-empty, "
+            f"{filename} cannot store {token!r}: a token must be non-empty, encodable as UTF-8, "
             f"contain none of {forbidden!r} and not end in '\\r'"
         )
 
@@ -204,6 +198,9 @@ def save_model(model: BpeModel, dirpath: str) -> None:
     for pair in model.merges:
         for symbol in pair:
             _check_storable(symbol, "merges.txt", "\n ")
+    for filename, first in (("vocab.txt", model.vocab[:1]), ("merges.txt", [a for a, _ in model.merges[:1]])):
+        if first and first[0].startswith(textio.BOM):
+            raise FormatError(f"{filename} cannot store {first[0]!r}: its first line loses a leading BOM")
     os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, "vocab.txt"), "w", encoding="utf-8", newline="\n") as fh:
         for token in model.vocab:

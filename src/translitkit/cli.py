@@ -153,9 +153,10 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     model = bpe.load_model(args.bpe)
-    paths = (args.original, args.encoded)
-    ob, eb, fr = metrics.file_compression(*((t + end for t, end in textio.read_file(p)) for p in paths))
-    ot, et, tr = metrics.token_compression(*((t for t, _ in textio.read_file(p)) for p in paths), model)
+    files = [list(textio.read_file(path)) for path in (args.original, args.encoded)]
+    # Each line end counts as one byte, CRLF too; terminators are not tokens.
+    ob, eb, fr = metrics.file_compression(*([t + "\n" if end else t for t, end in f] for f in files))
+    ot, et, tr = metrics.token_compression(*([t for t, _ in f] for f in files), model)
     report = metrics.CompressionReport(
         ob, eb, fr, ot, et, tr, language_tag=args.lang, empty=(ob == 0 and ot == 0)
     )

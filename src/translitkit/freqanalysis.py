@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable
@@ -59,18 +58,6 @@ class FrequencyTable:
     def total_chars(self) -> int:
         return sum(self.counts.values())
 
-    def __add__(self, other: "FrequencyTable") -> "FrequencyTable":
-        merged = Counter(self.counts)
-        merged.update(other.counts)
-        script_of = dict(self.script_of)
-        for cp, script in other.script_of.items():
-            if script_of.setdefault(cp, script) != script:
-                raise IntegrityError(
-                    f"tables disagree on script of U+{cp:04X}: "
-                    f"{script_of[cp]} vs {script}"
-                )
-        return FrequencyTable(dict(merged), script_of, self.scripts | other.scripts)
-
     def digest(self) -> str:
         """Short checksum over the (code point, count) pairs; order-independent."""
         blob = "\n".join(f"{cp}:{n}" for cp, n in sorted(self.counts.items()))
@@ -100,36 +87,14 @@ def scan_corpus(lines: Iterable[str], ranges: Iterable[ScriptRange] = DEFAULT_SC
 
 
 def scan_file(path: str, ranges: Iterable[ScriptRange] = DEFAULT_SCRIPT_RANGES) -> FrequencyTable:
-    """scan_corpus over a file, rejecting invalid UTF-8 with its byte offset.
-
-    Line terminators are not counted; a leading BOM is ignored.
-    """
-    lines = (text for text, _ in textio.read_file(path))
-    first = next(lines, "").removeprefix("\ufeff")
-    return scan_corpus(itertools.chain([first], lines), ranges)
-
-
-def charset_for(freq: FrequencyTable, script: str, min_count: int = 1) -> list[int]:
-    """Code points of `script` with count >= min_count, most frequent first.
-
-    Ties break by ascending code point so codebooks are reproducible.
-    """
-    if script != OTHER and script not in freq.scripts:
-        known = ", ".join(sorted(freq.scripts)) or "(none)"
-        raise ConfigError(f"unknown script {script!r}; known scripts: {known}")
-    chosen = [
-        cp
-        for cp, n in freq.counts.items()
-        if freq.script_of.get(cp) == script and n >= min_count
-    ]
-    chosen.sort(key=lambda cp: (-freq.counts[cp], cp))
-    return chosen
+    """scan_corpus over a file's lines, terminators not counted; invalid UTF-8 is an InputError."""
+    return scan_corpus((text for text, _ in textio.read_file(path)), ranges)
 
 
 def merged_charset(
     freq: FrequencyTable, min_count: int = 1, scripts: Iterable[str] | None = None
 ) -> list[int]:
-    """In-range code points in one merged frequency order.
+    """In-range code points, most frequent first; ties break by ascending code point.
 
     `scripts` restricts which script names participate (default: every script
     except "other").

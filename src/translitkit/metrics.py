@@ -1,7 +1,7 @@
 """Compression measures: UTF-8 byte ratio and token-count ratio, original vs encoded.
 
-Byte accounting: a leading BOM is excluded, CRLF is normalised to LF before
-counting (recorded here so reports are comparable across platforms).
+Each measure counts the pieces it is given as they are; a caller reading a
+file decides what a line end counts (see `cli.cmd_stats`).
 """
 
 from __future__ import annotations
@@ -34,19 +34,9 @@ def _chunks(source: str | Iterable[str]) -> Iterable[str]:
     return [source] if isinstance(source, str) else source
 
 
-def _normalized(source: str | Iterable[str]) -> Iterable[str]:
-    first = True
-    for chunk in _chunks(source):
-        if first:
-            first = False
-            if chunk.startswith("﻿"):
-                chunk = chunk[1:]
-        yield chunk.replace("\r\n", "\n")
-
-
 def utf8_size(source: str | Iterable[str]) -> int:
-    """Exact UTF-8 byte count, BOM excluded, CRLF counted as one LF byte."""
-    return sum(len(chunk.encode("utf-8")) for chunk in _normalized(source))
+    """Exact UTF-8 byte count of the pieces."""
+    return sum(len(chunk.encode("utf-8")) for chunk in _chunks(source))
 
 
 def file_compression(
@@ -65,7 +55,7 @@ def file_compression(
 
 
 def _token_count(source: str | Iterable[str], model: BpeModel) -> int:
-    return sum(len(model.tokenize(chunk)) for chunk in _normalized(source))
+    return sum(len(model.tokenize(chunk)) for chunk in _chunks(source))
 
 
 def token_compression(
@@ -102,14 +92,6 @@ def compression_report(
         ot, et, tr = 0, 0, None
     empty = ob == 0 and ot == 0
     return CompressionReport(ob, eb, fr, ot, et, tr, language_tag, empty)
-
-
-def average_token_ratio(reports: Iterable[CompressionReport]) -> float:
-    """Mean token ratio across languages for one strategy (skips token-less reports)."""
-    ratios = [r.token_ratio for r in reports if r.token_ratio is not None]
-    if not ratios:
-        raise ComputationError("no token ratios to average")
-    return sum(ratios) / len(ratios)
 
 
 def format_human(reports: Iterable[tuple[str, CompressionReport]]) -> str:

@@ -3,7 +3,9 @@
 Every file and stream the toolkit reads as text comes through here. Only
 ``\\n`` ends a line. A ``\\r`` before it belongs to the terminator; any other
 ``\\r`` stays in the text, so writing ``text + end`` back reproduces the input
-byte for byte.
+byte for byte. `read_lines` drops one leading BOM, so every loaded file reads
+the same with or without one; `read_blocks`, which the stdin filters use, keeps
+it, so they give back their input byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from .errors import InputError
 #: Bytes asked of the stream per read. A block holds the whole lines these
 #: bytes complete, so it is at most about this size unless one line is longer.
 BLOCK_SIZE = 1 << 16
+
+#: The byte-order mark; `read_lines` drops one at the start of its input.
+BOM = "\ufeff"
 
 
 def read_blocks(stream: BinaryIO, name: str) -> Iterator[str]:
@@ -68,10 +73,13 @@ def split_lines(block: str) -> Iterator[tuple[str, str]]:
 def read_lines(stream: BinaryIO, name: str) -> Iterator[tuple[str, str]]:
     """Yield ``(text, end)`` per line of `stream`; the last line's ``end`` may be ``""``.
 
-    Invalid UTF-8 raises InputError as `read_blocks` does.
+    One leading BOM is dropped; a BOM anywhere else is text. Invalid UTF-8
+    raises InputError as `read_blocks` does, its offset counting the BOM's bytes.
     """
+    first = True
     for block in read_blocks(stream, name):
-        yield from split_lines(block)
+        yield from split_lines(block.removeprefix(BOM) if first else block)
+        first = False
 
 
 def read_file(path: str) -> Iterator[tuple[str, str]]:

@@ -182,6 +182,24 @@ def test_stats_json_and_human(workspace, capsys):
     assert "File Compr." in table and "basic" in table
 
 
+def test_stats_counts_a_bom_crlf_pair_as_the_lf_pair(workspace, tmp_path, capsys):
+    root, cb, _ = workspace
+    lines = ["ཀཁ ab", "ᠠ x", ""]
+    encoded = [to_latin(line, cb) for line in lines]
+    reports = []
+    for bom, end in (("", "\n"), ("\ufeff", "\r\n")):
+        paths = []
+        for name, texts in (("original", lines), ("encoded", encoded)):
+            path = tmp_path / f"{name}-{len(end)}.txt"
+            path.write_bytes((bom + "".join(text + end for text in texts)).encode("utf-8"))
+            paths.append(str(path))
+        assert main(["stats", *paths, "--bpe", str(root / "bpe")]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["original_bytes"] == sum(len(text.encode("utf-8")) + 1 for text in lines)
+    assert reports[0]["encoded_bytes"] == sum(len(text.encode("utf-8")) + 1 for text in encoded)
+
+
 def test_bpe_merge_cli(workspace, tmp_path, capsys):
     root, _, _ = workspace
     assert main(["bpe-merge", str(root / "bpe"), str(root / "bpe"),

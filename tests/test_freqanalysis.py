@@ -11,7 +11,6 @@ from translitkit.freqanalysis import (
     DEFAULT_SCRIPT_RANGES,
     FrequencyTable,
     ScriptRange,
-    charset_for,
     merged_charset,
     read_tsv,
     scan_corpus,
@@ -70,24 +69,24 @@ def test_charset_order_and_tiebreak():
         {0x0F40: "Tibetan", 0x0F41: "Tibetan", 0x0F42: "Tibetan"},
         frozenset({"Tibetan"}),
     )
-    assert charset_for(table, "Tibetan", 1) == [0x0F40, 0x0F41, 0x0F42]
-    assert charset_for(table, "Tibetan", 3) == [0x0F40]
+    assert merged_charset(table, 1, ["Tibetan"]) == [0x0F40, 0x0F41, 0x0F42]
+    assert merged_charset(table, 3, ["Tibetan"]) == [0x0F40]
 
 
 def test_charset_unknown_script():
     table = scan_corpus(["ཀ"], [TIBETAN])
     with pytest.raises(ConfigError, match="Klingon"):
-        charset_for(table, "Klingon")
+        merged_charset(table, 1, ["Klingon"])
 
 
 def test_charset_known_but_absent_script_is_empty():
     table = scan_corpus(["ཀ"], DEFAULT_SCRIPT_RANGES)
-    assert charset_for(table, "Mongolian") == []
+    assert merged_charset(table, 1, ["Mongolian"]) == []
 
 
 def test_charset_min_count_one_covers_all_in_range():
     table = scan_corpus(["ཀཁགཀ"], [TIBETAN])
-    got = charset_for(table, "Tibetan", 1)
+    got = merged_charset(table, 1, ["Tibetan"])
     assert sorted(got) == sorted(table.counts)
     assert len(got) == len(set(got))
 
@@ -108,10 +107,10 @@ lines_strategy = st.lists(
 def test_additivity(lines_a, lines_b):
     ranges = DEFAULT_SCRIPT_RANGES
     combined = scan_corpus(lines_a + lines_b, ranges)
-    summed = scan_corpus(lines_a, ranges) + scan_corpus(lines_b, ranges)
-    assert combined.counts == summed.counts
-    assert combined.script_of == summed.script_of
-    assert combined.scripts == summed.scripts
+    a, b = scan_corpus(lines_a, ranges), scan_corpus(lines_b, ranges)
+    assert combined.counts == dict(Counter(a.counts) + Counter(b.counts))
+    assert combined.script_of == {**a.script_of, **b.script_of}
+    assert combined.scripts == a.scripts | b.scripts
 
 
 def test_tsv_roundtrip():

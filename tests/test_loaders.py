@@ -1,9 +1,10 @@
 """Every file the toolkit loads is read under one line contract (`textio`).
 
 Only ``\\n`` ends a line, a CRLF's ``\\r`` is dropped, a lone ``\\r`` is text,
-and invalid UTF-8 is an InputError naming the path and its absolute byte
-offset. These tests hold each loader to that contract, fuzz every loader with
-arbitrary bytes, and guard that no other module decodes text files itself.
+one leading BOM is dropped, and invalid UTF-8 is an InputError naming the path
+and its absolute byte offset. These tests hold each loader to that contract,
+fuzz every loader with arbitrary bytes, and guard that no other module decodes
+text files itself or handles a BOM or a CRLF.
 """
 
 import ast
@@ -31,6 +32,8 @@ PROFILE = "# profile\nmax_len = 2\nexcluded_single_letters = AIOYZ\n"
 RANGES = "Tibetan = 0F00-0FFF\n"
 PARAMS = "preset = input\nepochs = 1\nmin_count = 1\nhash_buckets = 64\n"
 LABELED = "__label__bo\tཀཁ\n__label__other\thello\n"
+PIPELINE = "codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\n"
+BOM = b"\xef\xbb\xbf"
 
 
 @pytest.fixture
@@ -93,11 +96,12 @@ _COMMANDS = [
 @pytest.mark.parametrize("name, text, after, argv", _COMMANDS, ids=[c[3][0] + ":" + c[0] for c in _COMMANDS])
 def test_invalid_utf8_in_a_loaded_file_exits_2_with_its_offset(files, capsys, name, text, after, argv):
     data, offset = _with_bad_byte(text, after)
-    path = files(name, data)
     args = [str(files.root / a[1:-1]) if a.startswith("{") else a for a in argv]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: InputError: {path}: invalid UTF-8 at byte offset {offset}\n"
+    for prefix in (b"", BOM):  # a dropped BOM still counts in the offset
+        path = files(name, prefix + data)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: InputError: {path}: invalid UTF-8 at byte offset {offset + len(prefix)}\n"
 
 
 def test_library_loaders_raise_input_error_not_unicode_decode_error(files):
@@ -166,7 +170,18 @@ def test_lone_cr_stays_inside_transform_and_vocab_lines(files):
     assert bpe.load_model(str(files.root / "cr-bpe")).vocab == ["a", "b", "ab", "a\rb"]
 
 
-# --- CRLF files load to the same objects as LF files ---------------------------
+def test_a_bom_after_the_start_of_a_file_is_text(files):
+    files("bom-bpe/vocab.txt", "\ufeffa\n\ufeffb\nab\n\ufeffab\n")
+    files("bom-bpe/merges.txt", "\ufeff\ufeffa b\n")
+    model = bpe.load_model(str(files.root / "bom-bpe"))
+    assert model.vocab == ["a", "\ufeffb", "ab", "\ufeffab"]
+    assert model.merges == [("\ufeffa", "b")]
+    path = files("bom-cb.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n\ufeff0F41\tC\t2\t0\n")
+    with pytest.raises(FormatError, match=r"^line 3: invalid literal"):
+        codebook.load_path(path)
+
+
+# --- CRLF and BOM files load to the same objects as plain LF files -------------
 
 
 def _bpe_dir(path: str) -> bpe.BpeModel:
@@ -183,20 +198,24 @@ _LOADERS = [
     ("ranges.cfg", RANGES, config.load_ranges),
     ("params.cfg", PARAMS, config.load_training_params),
     ("labeled.txt", LABELED, langid.read_labeled),
+    ("pipeline.cfg", PIPELINE, config.load_pipeline_config),
+    ("profile-first-key.cfg", "max_len = 4\n", config.load_profile),  # a kept BOM would hide the key
 ]
 
 
 @pytest.mark.parametrize("name, text, load", _LOADERS, ids=[n for n, _, _ in _LOADERS])
 def test_crlf_files_load_to_the_same_objects(files, name, text, load):
     lf = load(files(name, text))
-    assert load(files(name, text.replace("\n", "\r\n"))) == lf
+    crlf = text.replace("\n", "\r\n")
+    for variant in (crlf, "\ufeff" + text, "\ufeff" + crlf):
+        assert load(files(name, variant)) == lf, repr(variant)
 
 
 # --- fuzzing: every loader ends in success or a TranslitError ------------------
 
 # Line and field syntax of every format, plus bytes that are not UTF-8.
 _PIECES = st.sampled_from([
-    b"\n", b"\r", b"\r\n", b"\t", b" ", b"=", b" = ", b"#", b"\xff", b"\xc3", b"-", b",", b"U+",
+    b"\n", b"\r", b"\r\n", BOM, b"\t", b" ", b"=", b" = ", b"#", b"\xff", b"\xc3", b"-", b",", b"U+",
     b"0F40", b"0F41", b"3904", b"10FFFF", b"D800", b"B", b"C", b"Aa", b"a", b"b", b"ab", b"1", b"0", b"2",
     b"Tibetan", b"other", b"#strategy=basic freq_digest=", b"#strategy=", b"#scripts=Tibetan",
     b"__label__bo\t", b"__label__", b"max_len", b"preset", b"input", b"output", b"epochs",
@@ -293,9 +312,12 @@ def test_langid_load_model_fuzz(tmp_path, header, blob_len_delta, payload):
 
 
 def _text_reads(source: str) -> list[str]:
-    """Calls that read a file in text mode or strip a "\\r" by hand, as 'line N: ...'."""
+    """Text-mode file reads, hand-stripped "\\r"s and BOM or CRLF strings, as 'line N: ...'."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [f"line {node.lineno}: string holding {s!r}" for s in ("\ufeff", "\r\n")
+                      if s in node.value]
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -318,9 +340,11 @@ def test_guard_catches_private_readers():
     source = (
         'open(p)\nopen(p, "r")\nopen(p, encoding="utf-8", newline="")\nopen(p, mode="rt")\n'
         'open(p, m)\nline.rstrip("\\n").rstrip("\\r")\n'
+        'text.removeprefix("\\ufeff")\ntext.replace("\\r\\n", "\\n")\n'
         'open(p, "rb")\nopen(p, "w")\nopen(p, "wb")\nopen(p, mode="a")\nline.rstrip("\\n")\n'
+        'text.replace("\\r", "")\n'
     )
-    assert {f.split(":")[0] for f in _text_reads(source)} == {f"line {n}" for n in range(1, 7)}
+    assert {f.split(":")[0] for f in _text_reads(source)} == {f"line {n}" for n in range(1, 9)}
 
 
 def test_only_textio_decodes_text_files():

@@ -11,7 +11,6 @@ from translitkit.metrics import (
     file_compression,
     format_human,
     token_compression,
-    utf8_size,
 )
 from translitkit.translit import to_latin
 
@@ -38,12 +37,6 @@ def test_empty_streams_flagged():
 def test_encoded_empty_is_error():
     with pytest.raises(ComputationError):
         file_compression("text", "")
-
-
-def test_utf8_size_normalization():
-    assert utf8_size("﻿abc") == 3
-    assert utf8_size("a\r\nb") == 3
-    assert utf8_size(["a\r\n", "b\r\n"]) == 4
 
 
 def test_token_ratio_four_to_one():
@@ -99,18 +92,6 @@ def test_reports_reproducible():
     a = compression_report("ཀཁ ab", "BC @ab@", model, "bo")
     b = compression_report("ཀཁ ab", "BC @ab@", model, "bo")
     assert a == b
-
-
-def test_average_token_ratio():
-    from translitkit.metrics import CompressionReport, average_token_ratio
-
-    reports = [
-        CompressionReport(0, 0, 1.0, 0, 0, ratio, tag)
-        for tag, ratio in (("bo", 1.33), ("mn", 2.57), ("ug", 1.0))
-    ]
-    assert average_token_ratio(reports) == pytest.approx((1.33 + 2.57 + 1.0) / 3)
-    with pytest.raises(ComputationError):
-        average_token_ratio([CompressionReport(0, 0, 1.0, 0, 0, None)])
 
 
 def test_format_human():

@@ -21,6 +21,8 @@ def test_invalid_utf8_offset_is_absolute():
     data = "ཀ\n".encode("utf-8") * 3000 + b"ok\xc3(\n"
     with pytest.raises(InputError, match=r"^x: invalid UTF-8 at byte offset 12002$"):
         list(read_lines(io.BytesIO(data), "x"))
+    with pytest.raises(InputError, match=r"^x: invalid UTF-8 at byte offset 5$"):  # the dropped BOM counts
+        list(read_lines(io.BytesIO(b"\xef\xbb\xbfok\xff\n"), "x"))
 
 
 def test_blocks_hold_whole_lines():
@@ -52,3 +54,14 @@ def test_invalid_utf8_in_a_later_block_yields_the_lines_before_it():
         for text, _ in read_lines(io.BytesIO(data), "x"):
             lines.append(text)
     assert lines == ["ok"] * 30_000 + ["fine"]
+
+
+def test_read_lines_drops_one_leading_bom_and_read_blocks_keeps_it():
+    bom = "\ufeff"
+    data = f"{bom}{bom}a\r\n{bom}b\n".encode("utf-8")
+    assert list(read_lines(io.BytesIO(data), "x")) == [(f"{bom}a", "\r\n"), (f"{bom}b", "\n")]
+    assert "".join(read_blocks(io.BytesIO(data), "x")).encode("utf-8") == data
+    assert list(read_lines(io.BytesIO(bom.encode("utf-8")), "x")) == []
+    later = b"a" * (BLOCK_SIZE - 1) + b"\n" + data  # the BOM opens the second block, not the file
+    assert len(list(read_blocks(io.BytesIO(later), "x"))) == 2
+    assert list(read_lines(io.BytesIO(later), "x"))[1:] == [(f"{bom}{bom}a", "\r\n"), (f"{bom}b", "\n")]
