@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end demo: synthetic corpus -> frequency analysis -> codebook ->
-# encode/verify/stats -> BPE + language-id training -> identity pipeline.
+# encode/verify/stats -> BPE training -> tokenizer and hybrid codebooks ->
+# language-id training -> identity pipeline.
 # Usage: scripts/run_demo.sh [workdir]   (default workdir: demo-run/)
 set -eu
 
@@ -34,6 +35,15 @@ $TK verify "$WORK/corpus.txt" --codebook "$WORK/codebook.tsv"
 
 $TK bpe-train "$WORK/encoded.txt" --vocab-size 600 -o "$WORK/bpe"
 $TK bpe-merge "$WORK/bpe" "$WORK/bpe" -o "$WORK/bpe-merged"
+# The other two strategies: codes the BPE model keeps whole, over the full
+# length-4 code space, and the same mapping paired with the merged vocabulary.
+$TK build-codebook --freq "$WORK/freq.tsv" --strategy tokenizer --bpe "$WORK/bpe" \
+    --scripts Tibetan,Mongolian,Uyghur --profile "$HERE/configs/profile-full.cfg" \
+    -o "$WORK/codebook-tokenizer.tsv"
+$TK build-codebook --freq "$WORK/freq.tsv" --strategy hybrid --bpe "$WORK/bpe-merged" \
+    --scripts Tibetan,Mongolian,Uyghur --profile "$HERE/configs/profile-default.cfg" \
+    -o "$WORK/codebook-hybrid.tsv"
+$TK verify "$WORK/corpus.txt" --codebook "$WORK/codebook-tokenizer.tsv"
 $TK stats "$WORK/corpus.txt" "$WORK/encoded.txt" --bpe "$WORK/bpe" \
     --codebook "$WORK/codebook.tsv" --lang mixed
 $TK stats "$WORK/corpus.txt" "$WORK/encoded.txt" --bpe "$WORK/bpe" \

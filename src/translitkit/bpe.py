@@ -7,9 +7,10 @@ it keeps tokenize(text) deterministic for any model.
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import textio
@@ -100,27 +101,54 @@ class BpeModel:
         return result
 
 
-def _merge_pair(syms: list[str], pair: tuple[str, str]) -> list[str]:
-    """Replace every non-overlapping occurrence of `pair`, left to right."""
+def _merge_pair(syms: list[str], pair: tuple[str, str], sites: list[int] | None = None) -> list[str]:
+    """Replace every non-overlapping occurrence of `pair`, left to right.
+
+    If `sites` is a list, the index in `syms` of each replaced occurrence is appended to it.
+    """
     a, b = pair
-    out = []
+    out: list[str] = []
     i = 0
-    n = len(syms)
-    while i < n:
-        if i + 1 < n and syms[i] == a and syms[i + 1] == b:
+    last = len(syms) - 1
+    while True:
+        try:
+            j = syms.index(a, i, last)
+        except ValueError:
+            break
+        if syms[j + 1] == b:
+            out += syms[i:j]
             out.append(a + b)
-            i += 2
+            if sites is not None:
+                sites.append(j)
+            i = j + 2
         else:
-            out.append(syms[i])
-            i += 1
+            out += syms[i : j + 1]
+            i = j + 1
+    out += syms[i:]
     return out
+
+
+def _pairs_at(syms: list[str], starts: list[int]) -> list[tuple[str, str]]:
+    """The adjacent pairs of `syms` that start at the given indices, skipping those out of range."""
+    last = len(syms) - 1
+    return [(syms[k], syms[k + 1]) for k in set(starts) if 0 <= k < last]
 
 
 def train(corpus, target_vocab: int) -> BpeModel:
     """Standard greedy BPE training until `target_vocab` entries or no pairs left.
 
-    Ties on pair frequency break to the lexicographically smallest pair, so the
-    result depends only on the corpus.
+    Each step merges the most frequent adjacent pair; ties on frequency break to
+    the lexicographically smallest pair, so the result depends only on the
+    corpus. Training is incremental (Sennrich et al. 2016): it keeps the pair
+    counts, an index from each pair to the distinct words that have held it,
+    and a lazy-deletion heap keyed by `(-count, pair)`, whose top is the
+    highest count with the smallest pair. A heap entry whose count no longer
+    matches is stale and skipped. A merge re-merges only the words the index
+    lists for its pair. In each, only the pairs that touch a merged position
+    change: their old pairs leave the counts and their new pairs join them,
+    times the word's frequency. The merges are the same as recounting every
+    pair of every word at each step; the work grows with the pairs a merge
+    changes, not with the corpus.
     """
     words: Counter[str] = Counter()
     ws_runs: set[str] = set()
@@ -141,22 +169,42 @@ def train(corpus, target_vocab: int) -> BpeModel:
         )
     vocab = list(alphabet)
     merges: list[tuple[str, str]] = []
-    seqs: dict[str, list[str]] = {w: list(w) for w in words}
-    while len(vocab) < target_vocab:
-        pairs: Counter[tuple[str, str]] = Counter()
-        for w, syms in seqs.items():
-            freq = words[w]
-            for pair in zip(syms, syms[1:]):
-                pairs[pair] += freq
-        if not pairs:
-            break
-        top = max(pairs.values())
-        best = min(p for p, n in pairs.items() if n == top)
+    seqs = [list(w) for w in words]
+    freqs = list(words.values())
+    counts: Counter[tuple[str, str]] = Counter()
+    where: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, syms in enumerate(seqs):
+        for pair, n in Counter(zip(syms, syms[1:])).items():
+            counts[pair] += n * freqs[i]
+            where[pair].add(i)
+    heap = [(-n, pair) for pair, n in counts.items()]
+    heapq.heapify(heap)
+    while len(vocab) < target_vocab and heap:
+        neg, best = heapq.heappop(heap)
+        if counts.get(best) != -neg:
+            continue  # stale: the pair's count changed after this entry was pushed
         merges.append(best)
         vocab.append(best[0] + best[1])
-        for w, syms in seqs.items():
-            if len(syms) > 1:
-                seqs[w] = _merge_pair(syms, best)
+        delta: Counter[tuple[str, str]] = Counter()
+        for i in where.pop(best):
+            syms = seqs[i]
+            sites: list[int] = []
+            merged = seqs[i] = _merge_pair(syms, best, sites)
+            freq = freqs[i]
+            # The s-th merge site j spans old positions j, j + 1 and new position j - s.
+            for pair in _pairs_at(syms, [k for j in sites for k in (j - 1, j, j + 1)]):
+                delta[pair] -= freq
+            for pair in _pairs_at(merged, [k for s, j in enumerate(sites) for k in (j - s - 1, j - s)]):
+                delta[pair] += freq
+                where[pair].add(i)
+        for pair, d in delta.items():
+            if d:
+                n = counts[pair] + d
+                if n:
+                    counts[pair] = n
+                    heapq.heappush(heap, (-n, pair))
+                else:
+                    del counts[pair]
     return BpeModel(vocab, merges)
 
 

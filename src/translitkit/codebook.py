@@ -7,6 +7,7 @@ for codes and preserved runs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable
 
@@ -17,6 +18,7 @@ from .errors import CapacityError, ConfigError, FormatError, IntegrityError
 
 STRATEGIES = ("basic", "tokenizer_opt", "hybrid")
 
+_BYTE_TOKEN = re.compile(r"<0x([0-9A-F]{2})>")  # a byte-fallback token
 _RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
 
 
@@ -109,9 +111,9 @@ def build_tokenizer_optimized(
 ) -> Codebook:
     """Prefer codes that the model tokenizes to a single token.
 
-    Single-token candidates are handed out in canonical order; if they run out,
-    the remaining characters get the lowest-token-count codes still available.
-    Each entry records its code's token count.
+    Single-token codes are handed out in canonical order; if they run out, the
+    remaining characters get the lowest-token-count codes still available, ties
+    in canonical order. Each entry records its code's token count.
     """
     if model is None:
         raise ConfigError("tokenizer-optimized build requires a BPE model")
@@ -125,29 +127,48 @@ def build_tokenizer_optimized(
         )
     if not chars:
         return Codebook([], strategy, source_digest)
-    singles: list[str] = []
-    multis: list[tuple[int, int, str]] = []
-    counts: dict[str, int] = {}
-    exhausted = True
-    for idx, code in enumerate(profile.iter_codes()):
-        n = len(model.tokenize(code))
-        counts[code] = n
-        if n == 1:
-            singles.append(code)
-            if len(singles) == len(chars):
-                exhausted = False
-                break
-        else:
+    singles = _single_token_codes(profile, model)
+    counts = dict.fromkeys(singles, 1)
+    assigned = singles[: len(chars)]
+    need = len(chars) - len(assigned)
+    if need:
+        # Every other code has 2 or more tokens, so the first `need` codes with
+        # exactly 2 end the search.
+        multis: list[tuple[int, int, str]] = []
+        twos = 0
+        for idx, code in enumerate(profile.iter_codes()):
+            if code in counts:
+                continue
+            n = len(model.tokenize(code))
+            counts[code] = n
             multis.append((n, idx, code))
-    assigned = singles
-    if exhausted and len(assigned) < len(chars):
+            twos += n == 2
+            if twos == need:
+                break
         multis.sort()
-        assigned = singles + [code for _, _, code in multis[: len(chars) - len(singles)]]
+        assigned += [code for _, _, code in multis[:need]]
     entries = [
         CodebookEntry(cp, code, rank=i + 1, token_count=counts[code])
         for i, (cp, code) in enumerate(zip(chars, assigned))
     ]
     return Codebook(entries, strategy, source_digest)
+
+
+def _single_token_codes(profile: CodeSpaceProfile, model: BpeModel) -> list[str]:
+    """Every code of `profile` that `model` tokenizes to one token, in canonical order.
+
+    A single letter is always one token. A longer code is one token only when
+    its symbols merge into a single merge result, which is a vocab entry that
+    spells the code, with `<0xXX>` for a letter the byte fallback decomposed.
+    So the candidates are the single letters plus the vocab entries that spell
+    a code once `<0xXX>` is read back; `tokenize` confirms each one.
+    """
+    candidates = set(profile.single_letters())
+    for token in model.vocab:
+        code = _BYTE_TOKEN.sub(lambda m: chr(int(m.group(1), 16)), token)
+        if len(code) > 1 and code in profile and len(model.tokenize(code)) == 1:
+            candidates.add(code)
+    return sorted(candidates, key=lambda code: (len(code), code))
 
 
 def build_hybrid(

@@ -74,6 +74,14 @@ class CodeSpaceProfile:
             return 26 * len(self.two_char_first_letters)
         return capacity(length)
 
+    def __contains__(self, code: str) -> bool:
+        """True iff `code` is one of the codes `iter_codes` yields."""
+        if not is_valid_code(code) or len(code) > self.max_len:
+            return False
+        if len(code) == 1:
+            return code not in self.excluded_single_letters
+        return len(code) > 2 or code[0] in self.two_char_first_letters
+
     def total_slots(self) -> int:
         return sum(self.slots_at(n) for n in range(1, self.max_len + 1))
 

@@ -1,6 +1,8 @@
 """Flat key-value config files: `key = value` lines, `#` comments, one file per concern.
 
-Paths inside a config resolve relative to the config file's directory.
+Paths inside a config resolve relative to the config file's directory. A key
+the loader does not know is a ConfigError naming the keys it does know; only
+the ranges file takes any key, because each of its keys names a script.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ def load_kv(path: str) -> dict[str, str]:
             raise ConfigError(f"{path} line {lineno}: duplicate key {key!r}")
         pairs[key] = value.strip()
     return pairs
+
+
+def _check_keys(pairs: dict[str, str], allowed: tuple[str, ...], path: str) -> None:
+    """Raise ConfigError naming the first key of `pairs` not in `allowed`."""
+    for key in pairs:
+        if key not in allowed:
+            raise ConfigError(f"{path}: unknown key {key!r}; expected one of {', '.join(allowed)}")
 
 
 def parse_letters(spec: str) -> list[str]:
@@ -65,9 +74,20 @@ def _get_float(pairs: dict[str, str], key: str, default: float, path: str) -> fl
         raise ConfigError(f"{path}: key {key!r} must be a number") from exc
 
 
+_PROFILE_KEYS = ("max_len", "excluded_single_letters", "two_char_first_letters")
+_PIPELINE_KEYS = (
+    "codebook", "input_model", "output_model", "model_stage", "model_command", "decode_mode",
+    "confidence_threshold", "pinyin_transform",
+)
+_TRAINING_KEYS = (
+    "preset", "learning_rate", "epochs", "ngram_min", "ngram_max", "min_count", "seed", "hash_buckets",
+)
+
+
 def load_profile(path: str) -> CodeSpaceProfile:
     """Keys: max_len, excluded_single_letters, two_char_first_letters."""
     pairs = load_kv(path)
+    _check_keys(pairs, _PROFILE_KEYS, path)
     defaults = CodeSpaceProfile()
     kwargs = {}
     kwargs["max_len"] = _get_int(pairs, "max_len", defaults.max_len, path)
@@ -109,6 +129,7 @@ def load_ranges(path: str) -> list[ScriptRange]:
 
 def load_pipeline_config(path: str) -> PipelineConfig:
     pairs = load_kv(path)
+    _check_keys(pairs, _PIPELINE_KEYS, path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(key: str) -> str | None:
@@ -138,6 +159,7 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 def load_training_params(path: str) -> tuple[TrainingParams, int]:
     """Returns (params, hash_buckets). Key `preset` picks input/output defaults."""
     pairs = load_kv(path)
+    _check_keys(pairs, _TRAINING_KEYS, path)
     preset = pairs.get("preset", "input")
     if preset == "input":
         base = TrainingParams.input_defaults()

@@ -3,7 +3,9 @@
 These deliberately share no code with the package: the encoder is a
 char-by-char state machine, the decoder parses the wire grammar one character
 at a time with exact whole-segment lookup (no greedy search), and the BPE
-applier rescans the rule list from the top after every application. The
+applier rescans the rule list from the top after every application. The BPE
+trainer recounts every pair of every word before each merge, and the
+tokenizer-optimized codebook oracle tokenizes every code of the profile. The
 language-id oracle hashes each n-gram one character at a time and scores one
 text at a time in plain floats.
 """
@@ -11,6 +13,7 @@ text at a time in plain floats.
 from __future__ import annotations
 
 import math
+import re
 
 
 def ref_encode(text: str, char_to_code: dict[int, str]) -> str:
@@ -110,8 +113,6 @@ def naive_bpe_word(word: str, merges: list[tuple[str, str]]) -> list[str]:
 
 def naive_tokenize(text: str, merges: list[tuple[str, str]]) -> list[str]:
     """Whitespace-run-preserving naive tokenizer (no byte fallback)."""
-    import re
-
     out: list[str] = []
     for i, part in enumerate(re.split(r"(\s+)", text)):
         if not part:
@@ -121,6 +122,71 @@ def naive_tokenize(text: str, merges: list[tuple[str, str]]) -> list[str]:
         else:
             out.extend(naive_bpe_word(part, merges))
     return out
+
+
+def ref_bpe_train(corpus, target_vocab: int):
+    """Greedy BPE training that recounts every pair of every word before each merge.
+
+    The most frequent pair wins; a tie goes to the lexicographically smallest
+    pair. Returns a `BpeModel` only as the container to compare against.
+    """
+    from translitkit.bpe import BpeModel
+    from translitkit.errors import ConfigError
+
+    words: dict[str, int] = {}
+    ws_runs: set[str] = set()
+    for line in corpus:
+        for i, part in enumerate(re.split(r"(\s+)", line)):
+            if part and i & 1:
+                ws_runs.add(part)
+            elif part:
+                words[part] = words.get(part, 0) + 1
+    if not words and not ws_runs:
+        raise ConfigError("cannot train on an empty corpus")
+    vocab = sorted({ch for w in words for ch in w} | ws_runs)
+    if target_vocab < len(vocab):
+        raise ConfigError(f"corpus alphabet has {len(vocab)} symbols, exceeding target vocab {target_vocab}")
+    merges: list[tuple[str, str]] = []
+    seqs = {w: list(w) for w in words}
+    while len(vocab) < target_vocab:
+        pairs: dict[tuple[str, str], int] = {}
+        for w, syms in seqs.items():
+            for i in range(len(syms) - 1):
+                pair = (syms[i], syms[i + 1])
+                pairs[pair] = pairs.get(pair, 0) + words[w]
+        if not pairs:
+            break
+        top = max(pairs.values())
+        a, b = min(p for p, n in pairs.items() if n == top)
+        merges.append((a, b))
+        vocab.append(a + b)
+        for w, syms in seqs.items():
+            merged = []
+            i = 0
+            while i < len(syms):
+                if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
+                    merged.append(a + b)
+                    i += 2
+                else:
+                    merged.append(syms[i])
+                    i += 1
+            seqs[w] = merged
+    return BpeModel(vocab, merges)
+
+
+def ref_build_tokenizer_optimized(chars, profile, model, strategy: str = "tokenizer_opt"):
+    """Tokenize every code of `profile`; order by (tokens, canonical index), take the first len(chars)."""
+    from translitkit.codebook import Codebook, CodebookEntry
+
+    chars = list(chars)
+    scored = sorted(
+        (len(model.tokenize(code)), idx, code) for idx, code in enumerate(profile.iter_codes())
+    )
+    entries = [
+        CodebookEntry(cp, code, rank=i + 1, token_count=n)
+        for i, (cp, (n, _, code)) in enumerate(zip(chars, scored))
+    ]
+    return Codebook(entries, strategy)
 
 
 _MASK64 = (1 << 64) - 1

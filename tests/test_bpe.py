@@ -3,7 +3,7 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from translitkit.bpe import (
     BpeModel,
@@ -15,7 +15,7 @@ from translitkit.bpe import (
 )
 from translitkit.errors import ConfigError, FormatError
 
-from reference import naive_tokenize
+from reference import naive_tokenize, ref_bpe_train
 
 
 def test_single_merge():
@@ -114,6 +114,35 @@ def test_train_tie_break_lexicographic():
     # "ab" and "cd" both occur twice; ('a','b') < ('c','d')
     model = train(["ab cd ab cd"], target_vocab=7)
     assert model.merges[0] == ("a", "b")
+
+
+# Words that tie on counts, overlap ("aaaa"), repeat, or are a single character,
+# joined by runs of different whitespace.
+_WORDS = st.one_of(
+    st.sampled_from(["a", "b", "aa", "aaaa", "aaa", "ab", "abab", "ba", "cd", "abc"]),
+    st.text(st.sampled_from("abc"), min_size=1, max_size=7),
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\u3000"])
+_LINES = st.lists(st.tuples(_WORDS, _SEPARATORS), max_size=6).map(
+    lambda parts: "".join(word + sep for word, sep in parts)
+) | st.sampled_from(["", " ", "a"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus=st.lists(_LINES, max_size=6), target=st.integers(min_value=0, max_value=40))
+@example(corpus=["ab cd ab cd"], target=7)  # a count tie
+@example(corpus=["aaaa aaaa aaa"], target=6)  # overlapping pairs
+@example(corpus=["ab ab ab a b"], target=40)  # pairs run out long before the target
+@example(corpus=[], target=5)  # empty corpus
+@example(corpus=["abc"], target=2)  # alphabet larger than the target
+def test_train_matches_the_recounting_oracle(corpus, target):
+    try:
+        expected = ref_bpe_train(corpus, target)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            train(corpus, target)
+        return
+    assert train(corpus, target) == expected
 
 
 def test_tokenize_own_corpus_stays_in_vocab():

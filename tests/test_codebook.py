@@ -1,6 +1,8 @@
 import io
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translitkit.bpe import BpeModel
 from translitkit.codebook import (
@@ -15,6 +17,8 @@ from translitkit.codebook import (
 )
 from translitkit.codespace import DEFAULT_PROFILE, CodeSpaceProfile, enumerate_codes
 from translitkit.errors import CapacityError, ConfigError, FormatError, IntegrityError
+
+from reference import ref_build_tokenizer_optimized
 
 UNRESTRICTED_2 = CodeSpaceProfile(max_len=2, excluded_single_letters=frozenset(),
                                   two_char_first_letters=tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
@@ -136,6 +140,80 @@ def test_tokenizer_optimized_per_char_not_worse_when_singles_suffice(chars_162):
     opt = build_tokenizer_optimized(chars_162, DEFAULT_PROFILE, model)
     for b, o in zip(basic.entries, opt.entries):
         assert len(model.tokenize(o.code)) <= len(model.tokenize(b.code))
+
+
+MAX3_PROFILE = CodeSpaceProfile(max_len=3, excluded_single_letters=frozenset("AEQ"),
+                                two_char_first_letters=tuple("BCX"))
+_BYTE_SYMBOLS = ["<0x41>", "<0x42>", "<0x58>", "<0x61>", "<0x62>", "<0x78>"]  # A B X a b x
+
+
+@st.composite
+def _models(draw):
+    """A small BpeModel over a few letters; with byte fallback, merges also join `<0xXX>` tokens."""
+    fallback = draw(st.booleans())
+    letters = draw(st.lists(st.sampled_from("ABCXYabcxy"), min_size=1, unique=True))
+    vocab = list(letters)
+    merges = []
+    symbols = letters + (_BYTE_SYMBOLS if fallback else [])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=40)):
+        pool = symbols + vocab[len(letters):]
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if a + b not in vocab:
+            merges.append((a, b))
+            vocab.append(a + b)
+    return BpeModel(vocab, merges, fallback)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=_models(),
+    profile=st.sampled_from([DEFAULT_PROFILE, UNRESTRICTED_2, MAX3_PROFILE]),
+    past_short_codes=st.booleans(),
+    offset=st.integers(min_value=-3, max_value=3),
+)
+def test_tokenizer_optimized_matches_the_full_scan(model, profile, past_short_codes, offset):
+    # The character count sits around the number of single-token codes, so both
+    # the all-single path and the exhaustion path run, or around the number of
+    # codes up to length 2, so the exhaustion path reaches codes of 3 tokens.
+    if past_short_codes:
+        anchor = profile.slots_at(1) + profile.slots_at(2)
+    else:
+        anchor = sum(len(model.tokenize(code)) == 1 for code in profile.iter_codes())
+    chars = list(range(0x0F00, 0x0F00 + min(max(0, anchor + offset), profile.total_slots())))
+    expected = ref_build_tokenizer_optimized(chars, profile, model)
+    assert build_tokenizer_optimized(chars, profile, model) == expected
+
+
+@pytest.mark.parametrize("byte_fallback", [False, True])
+def test_tokenizer_optimized_reads_byte_tokens_back(byte_fallback):
+    # "A" is not in the vocab. With byte fallback it is the token <0x41>, and
+    # "Ab" is one token through the vocab entry "<0x41>b"; without, it is two.
+    model = BpeModel(["b", "<0x41>b"], [("<0x41>", "b")], byte_fallback)
+    profile = CodeSpaceProfile(max_len=2, excluded_single_letters=frozenset("DEFGHIJKLMNOPQRSTUVWXYZ"),
+                               two_char_first_letters=tuple("ABC"))
+    chars = list(range(0x0F00, 0x0F06))
+    cb = build_tokenizer_optimized(chars, profile, model)
+    assert cb == ref_build_tokenizer_optimized(chars, profile, model)
+    if byte_fallback:
+        assert [(e.code, e.token_count) for e in cb.entries] == [
+            ("A", 1), ("B", 1), ("C", 1), ("Ab", 1), ("Aa", 2), ("Ac", 2)
+        ]
+    else:
+        assert [(e.code, e.token_count) for e in cb.entries] == [
+            ("A", 1), ("B", 1), ("C", 1), ("Aa", 2), ("Ab", 2), ("Ac", 2)
+        ]
+
+
+def test_tokenizer_optimized_cost_does_not_grow_with_the_code_space(chars_162):
+    # About 321M codes; the 702 single-token codes of the model cover the characters.
+    profile = CodeSpaceProfile(max_len=6, excluded_single_letters=frozenset(),
+                               two_char_first_letters=tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+    assert profile.total_slots() > 321_000_000
+    start = time.perf_counter()
+    cb = build_tokenizer_optimized(chars_162, profile, letter_model(True))
+    assert time.perf_counter() - start < 1.0
+    assert [e.code for e in cb.entries] == enumerate_codes(profile, 162)
+    assert cb.single_token_count == 162
 
 
 def test_tokenizer_optimized_requires_model(chars_162):

@@ -111,3 +111,8 @@ def test_enumeration_matches_slots(profile):
         assert len(enumerate_codes(profile, total)) == total
     with pytest.raises(CapacityError):
         enumerate_codes(profile, total + 1)
+
+
+@given(profile=profiles, code=st.text(st.sampled_from("ABCXYZabz1@"), max_size=4))
+def test_membership_matches_enumeration(profile, code):
+    assert (code in profile) == (code in set(profile.iter_codes()))

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from translitkit.codespace import DEFAULT_PROFILE
@@ -111,3 +114,67 @@ def test_load_training_params_presets(tmp_path):
     assert buckets == 4096
     with pytest.raises(ConfigError):
         load_training_params(write(tmp_path, "t3.cfg", "preset = banana\n"))
+
+
+@pytest.mark.parametrize(
+    "load, text, key, expected",
+    [
+        (load_profile, "maxlen = 4\n", "maxlen", "max_len, excluded_single_letters, two_char_first_letters"),
+        (load_pipeline_config,
+         "codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\nconfidence_treshold = 0.9\n",
+         "confidence_treshold", "codebook, input_model, output_model, model_stage, model_command, "
+         "decode_mode, confidence_threshold, pinyin_transform"),
+        (load_training_params, "preset = input\nepoch = 3\n", "epoch",
+         "preset, learning_rate, epochs, ngram_min, ngram_max, min_count, seed, hash_buckets"),
+    ],
+)
+def test_unknown_key_is_an_error(tmp_path, load, text, key, expected):
+    path = write(tmp_path, "x.cfg", text)
+    with pytest.raises(ConfigError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: unknown key {key!r}; expected one of {expected}"
+
+
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--profile", ["build-codebook", "--freq", "{freq}", "--strategy", "basic"]),
+        ("--params", ["langid-train", "{freq}", "-o", "{out}"]),
+        ("--config", ["pipeline"]),
+    ],
+)
+def test_cli_exits_2_on_an_unknown_key(tmp_path, capsys, flag, args):
+    from translitkit.cli import main
+
+    path = write(tmp_path, "x.cfg", "misspelt = 1\n")
+    subs = {"{freq}": write(tmp_path, "freq.tsv", ""), "{out}": str(tmp_path / "out")}
+    assert main([subs.get(a, a) for a in args] + [flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {path}: unknown key 'misspelt'; expected one of ")
+
+
+def test_ranges_take_any_script_name(tmp_path):
+    path = write(tmp_path, "r.cfg", "max_len = 0F00-0FFF\n")
+    assert [r.name for r in load_ranges(path)] == ["max_len"]
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_LOADER_BY_PREFIX = {
+    "profile-": load_profile, "langid-": load_training_params, "pipeline-": load_pipeline_config,
+    "ranges-": load_ranges,
+}
+
+
+@pytest.mark.parametrize("path", sorted(_CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_loads(path):
+    loads = [load for prefix, load in _LOADER_BY_PREFIX.items() if path.name.startswith(prefix)]
+    assert len(loads) == 1, path.name
+    loads[0](str(path))
+
+
+def test_demo_script_configs_load(tmp_path):
+    script = (_CONFIGS.parent / "scripts" / "run_demo.sh").read_text(encoding="utf-8")
+    heredocs = re.findall(r'cat > "\$WORK/([\w-]+\.cfg)" <<\'EOF\'\n(.*?)\nEOF\n', script, re.S)
+    assert [name for name, _ in heredocs] == ["lid-input.cfg", "lid-output.cfg"]
+    for name, text in heredocs:
+        load_training_params(write(tmp_path, name, text + "\n"))
