@@ -17,10 +17,9 @@ import logging
 import sys
 from typing import Callable, Iterable, Iterator
 
-from . import __version__, bpe, codebook, config, freqanalysis, langid, metrics, textio, translit
+from . import __version__, bpe, codebook, config, freqanalysis, metrics, textio, translit
 from .codespace import DEFAULT_PROFILE
 from .errors import DecodeError, FormatError, TranslitError
-from .pipeline import Pipeline
 
 log = logging.getLogger("translitkit")
 
@@ -114,12 +113,14 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import kernel
+
     cb = codebook.load_path(args.codebook)
     warnings_total = 0
 
     def fn(block: str, lineno: int) -> Iterator[str]:
         nonlocal warnings_total
-        text = translit.kernel_decode(block, cb)
+        text = kernel.kernel_decode(block, cb)
         if text is not None:
             yield text
             return
@@ -191,12 +192,14 @@ def cmd_bpe_merge(args) -> int:
 
 
 def cmd_langid_train(args) -> int:
+    from . import langid
+
     examples = langid.read_labeled(args.labeled)
     if args.params:
         params, buckets = config.load_training_params(args.params)
     else:
         params, buckets = langid.TrainingParams.input_defaults(), langid.DEFAULT_HASH_BUCKETS
-    if args.hash_buckets:
+    if args.hash_buckets is not None:
         buckets = args.hash_buckets
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
@@ -207,6 +210,8 @@ def cmd_langid_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import langid
+
     model = langid.load_model(args.model)
 
     def rows(texts: list[str]) -> str:
@@ -221,6 +226,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .pipeline import Pipeline
+
     cfg = config.load_pipeline_config(args.config)
     pl = Pipeline.from_config(cfg)
 

@@ -38,7 +38,7 @@ class Codebook:
     char_to_code: dict[int, str] = field(init=False, repr=False)
     code_to_char: dict[str, int] = field(init=False, repr=False)
     code_to_text: dict[str, str] = field(init=False, repr=False)
-    # The decode kernel's lookup table; translit builds it on first use.
+    # The decode kernel's lookup table; `kernel` builds it on first use.
     kernel_table: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

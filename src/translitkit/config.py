@@ -8,13 +8,16 @@ the ranges file takes any key, because each of its keys names a script.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from . import textio
 from .codespace import UPPER, CodeSpaceProfile
 from .errors import ConfigError
 from .freqanalysis import ScriptRange
-from .langid import DEFAULT_HASH_BUCKETS, TrainingParams
-from .pipeline import PipelineConfig
+
+if TYPE_CHECKING:  # imported where used: both modules load numpy
+    from .langid import TrainingParams
+    from .pipeline import PipelineConfig
 
 
 def load_kv(path: str) -> dict[str, str]:
@@ -128,6 +131,8 @@ def load_ranges(path: str) -> list[ScriptRange]:
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
+    from .pipeline import PipelineConfig
+
     pairs = load_kv(path)
     _check_keys(pairs, _PIPELINE_KEYS, path)
     base = os.path.dirname(os.path.abspath(path))
@@ -158,6 +163,8 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 def load_training_params(path: str) -> tuple[TrainingParams, int]:
     """Returns (params, hash_buckets). Key `preset` picks input/output defaults."""
+    from .langid import DEFAULT_HASH_BUCKETS, TrainingParams
+
     pairs = load_kv(path)
     _check_keys(pairs, _TRAINING_KEYS, path)
     preset = pairs.get("preset", "input")

@@ -9,6 +9,7 @@ per-n-gram weight rows plus a bias.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from collections import Counter
@@ -144,6 +145,21 @@ def _feature_arrays(grams: Counter[str], bucket_of: dict[str, int]) -> tuple[np.
     return idx, cnt
 
 
+def _check_params(params: TrainingParams, hash_buckets: int) -> None:
+    lo, hi = params.ngram_range
+    lr = params.learning_rate
+    for ok, what in (
+        (hash_buckets >= 1, f"hash_buckets must be at least 1, got {hash_buckets}"),
+        (lo >= 1, f"ngram_min must be at least 1, got {lo}"),
+        (lo <= hi, f"ngram_min must not exceed ngram_max, got {lo} > {hi}"),
+        (params.epochs >= 1, f"epochs must be at least 1, got {params.epochs}"),
+        (params.min_count >= 1, f"min_count must be at least 1, got {params.min_count}"),
+        (0 < lr < math.inf, f"learning_rate must be positive and finite, got {lr}"),
+    ):
+        if not ok:
+            raise TrainingError(what)
+
+
 def train(
     examples: Iterable[tuple[str, str]],
     params: TrainingParams | None = None,
@@ -153,9 +169,10 @@ def train(
     """SGD over examples in the given order; deterministic for fixed inputs.
 
     N-grams occurring fewer than `min_count` times in the whole corpus are
-    dropped before hashing.
+    dropped before hashing. Parameters out of range are a TrainingError.
     """
     params = params or TrainingParams()
+    _check_params(params, hash_buckets)
     data = list(examples)
     seen = {lab for _, lab in data}
     label_list = list(labels) if labels is not None else sorted(seen)
@@ -270,8 +287,9 @@ def save_model(model: LangIdModel, path: str) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
+        for array in (model.weights, model.bias):
+            # a byte view of the array, not a copy of it (the weights are 40 MB)
+            fh.write(memoryview(np.ascontiguousarray(array, dtype="<f8")).cast("B"))
 
 
 def load_model(path: str) -> LangIdModel:

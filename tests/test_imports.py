@@ -1,0 +1,144 @@
+"""Each CLI command imports only what it runs; the package's public names resolve lazily.
+
+numpy costs about as much start-up time as the rest of a command, so only the
+commands that reach a vectorized kernel may load it. These tests run the real
+CLI in a fresh interpreter and read `sys.modules` after it.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import random
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import translitkit
+from translitkit import codebook, langid, synth, translit
+from translitkit.cli import main
+
+SRC = str(Path(translitkit.__file__).resolve().parent.parent)
+HEAVY = ("numpy", "translitkit.langid")
+
+# Runs the CLI on argv and writes which of HEAVY it left loaded as the last line of stderr.
+PROBE = (
+    "import json, sys\n"
+    "from translitkit import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    f"print(json.dumps({{name: name in sys.modules for name in {HEAVY!r}}}), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    lines = synth.mixed_lines(random.Random(7), 60)
+    (root / "corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", str(root / "corpus.txt"), "-o", str(root / "freq.tsv")]) == 0
+    assert main(["build-codebook", "--freq", str(root / "freq.tsv"), "--strategy", "basic",
+                 "--scripts", "Tibetan,Mongolian,Uyghur", "-o", str(root / "cb.tsv")]) == 0
+    encode = translit.translator(codebook.load_path(str(root / "cb.tsv")))
+    (root / "encoded.txt").write_text("\n".join(map(encode, lines)) + "\n", encoding="utf-8")
+    assert main(["bpe-train", str(root / "encoded.txt"), "--vocab-size", "260", "-o", str(root / "bpe")]) == 0
+    examples = [("ཀཁག", "bo"), ("hello there", "other")] * 4
+    params = langid.TrainingParams(epochs=1, min_count=1)
+    langid.save_model(langid.train(examples, params, hash_buckets=256), str(root / "m.lid"))
+    return root
+
+
+def _python(script: str, argv: list[str] | tuple = (), stdin: str = "", cwd: Path | None = None) -> str:
+    """Run `script` in a fresh interpreter that imports this checkout; returns its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        input=stdin.encode("utf-8"),
+        capture_output=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == 0, err
+    return err
+
+
+def _loaded(root: Path, argv: list[str], stdin: str = "") -> dict[str, bool]:
+    return json.loads(_python(PROBE, argv, stdin, root).splitlines()[-1])
+
+
+BUILD = ["build-codebook", "--freq", "freq.tsv", "--scripts", "Tibetan,Mongolian,Uyghur"]
+LIGHT_COMMANDS = {
+    "version": ["--version"],
+    "encode": ["encode", "--codebook", "cb.tsv"],
+    "analyze": ["analyze", "corpus.txt", "-o", "freq2.tsv"],
+    "build-basic": [*BUILD, "--strategy", "basic", "-o", "cb2.tsv"],
+    "build-tokenizer": [*BUILD, "--strategy", "tokenizer", "--bpe", "bpe", "-o", "cb3.tsv"],
+    "bpe-train": ["bpe-train", "encoded.txt", "--vocab-size", "200", "-o", "bpe2"],
+    "stats": ["stats", "corpus.txt", "encoded.txt", "--bpe", "bpe"],
+}
+
+
+@pytest.mark.parametrize("name", LIGHT_COMMANDS)
+def test_commands_without_a_kernel_do_not_load_numpy(files, name):
+    stdin = (files / "corpus.txt").read_text(encoding="utf-8")
+    assert _loaded(files, LIGHT_COMMANDS[name], stdin) == dict.fromkeys(HEAVY, False)
+
+
+@pytest.mark.parametrize(
+    "argv, langid_loaded",
+    [(["decode", "--codebook", "cb.tsv"], False), (["detect", "--model", "m.lid", "ཀཁ"], True)],
+    ids=["decode", "detect"],
+)
+def test_commands_with_a_kernel_load_numpy(files, argv, langid_loaded):
+    stdin = (files / "encoded.txt").read_text(encoding="utf-8")
+    assert _loaded(files, argv, stdin) == {"numpy": True, "translitkit.langid": langid_loaded}
+
+
+# --- the lazy public API ------------------------------------------------------
+
+
+def _submodules() -> list[types.ModuleType]:
+    names = [m.name for m in pkgutil.iter_modules(translitkit.__path__) if m.name != "__main__"]
+    return [importlib.import_module(f"translitkit.{name}") for name in names]
+
+
+def test_star_import_binds_each_public_name_to_its_submodules_object():
+    namespace: dict = {}
+    exec("from translitkit import *", namespace)
+    assert namespace["__version__"] == translitkit.__version__
+    modules = _submodules()
+    for name in translitkit.__all__[1:]:
+        owners = [m for m in modules if hasattr(m, name)]
+        assert owners, name
+        assert all(namespace[name] is getattr(m, name) for m in owners), name
+        assert getattr(translitkit, name) is namespace[name]
+    assert set(translitkit.__all__) <= set(dir(translitkit))
+
+
+def test_bare_package_loads_no_submodule_until_a_name_is_used():
+    script = (
+        "import sys\n"
+        "import translitkit as tk\n"
+        "assert [m for m in sys.modules if m.startswith('translitkit.')] == []\n"
+        "assert tk.freqanalysis.scan_file and tk.textio.read_file and tk.to_latin\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert tk.langid.predict_many and 'numpy' in sys.modules\n"
+    )
+    _python(script)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(translitkit, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        translitkit.no_such_name
+
+
+def test_from_import_still_imports_submodules():
+    namespace: dict = {}
+    exec("from translitkit import langid, synth", namespace)
+    assert namespace["langid"] is sys.modules["translitkit.langid"]
+    assert namespace["synth"] is sys.modules["translitkit.synth"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -64,6 +65,32 @@ def test_single_label_rejected():
 def test_labels_outside_label_set_rejected():
     with pytest.raises(TrainingError):
         train(toy_examples(), FAST, labels=["aa"])
+
+
+@pytest.mark.parametrize(
+    "flags, params, message",
+    [
+        (["--hash-buckets", "-1"], "", "hash_buckets must be at least 1, got -1"),
+        (["--hash-buckets", "0"], "", "hash_buckets must be at least 1, got 0"),
+        ([], "hash_buckets = 0", "hash_buckets must be at least 1, got 0"),
+        ([], "ngram_min = 3\nngram_max = 2", "ngram_min must not exceed ngram_max, got 3 > 2"),
+        ([], "ngram_min = 0", "ngram_min must be at least 1, got 0"),
+        ([], "epochs = 0", "epochs must be at least 1, got 0"),
+        ([], "min_count = 0", "min_count must be at least 1, got 0"),
+        ([], "learning_rate = 0", "learning_rate must be positive and finite, got 0.0"),
+        ([], "learning_rate = -0.5", "learning_rate must be positive and finite, got -0.5"),
+        ([], "learning_rate = nan", "learning_rate must be positive and finite, got nan"),
+    ],
+)
+def test_langid_train_rejects_bad_params_with_exit_2(tmp_path, capsys, flags, params, message):
+    labeled = tmp_path / "train.txt"
+    labeled.write_text("".join(f"__label__{tag}\t{text}\n" for text, tag in toy_examples()), encoding="utf-8")
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(params + "\n", encoding="utf-8")  # the checks run before any training
+    out = tmp_path / "model.lid"
+    assert main(["langid-train", str(labeled), "--params", str(cfg), *flags, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: TrainingError: {message}\n"
+    assert not out.exists()
 
 
 def test_empty_text_is_other_uniform():
@@ -163,6 +190,37 @@ def test_save_load_roundtrip(tmp_path, toy_model):
         assert predict(text, loaded) == predict(text, toy_model)
     texts = ["abab", "", "xyzzy zyx", "q", "ab\rxy"] * 3
     assert predict_many(texts, loaded) == predict_many(texts, toy_model)
+
+
+def _tobytes_writer(model: LangIdModel) -> bytes:
+    """The file save_model wrote while it copied each array with tobytes()."""
+    header = {
+        "labels": model.labels,
+        "ngram_range": list(model.ngram_range),
+        "hash_buckets": model.hash_buckets,
+        "training_params": dataclasses.asdict(model.training_params),
+    }
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    return b"".join([
+        langid._MAGIC,
+        struct.pack("<I", len(blob)),
+        blob,
+        np.ascontiguousarray(model.weights, dtype="<f8").tobytes(),
+        np.ascontiguousarray(model.bias, dtype="<f8").tobytes(),
+    ])
+
+
+@pytest.mark.parametrize("layout", ["trained", "fortran", "big-endian"])
+def test_saved_bytes_match_the_tobytes_writer(tmp_path, toy_model, layout):
+    weights, bias = toy_model.weights, toy_model.bias
+    if layout == "fortran":
+        weights = np.asfortranarray(weights)
+    elif layout == "big-endian":
+        weights, bias = weights.astype(">f8"), bias.astype(">f8")
+    model = dataclasses.replace(toy_model, weights=weights, bias=bias)
+    path = tmp_path / "model.lid"
+    save_model(model, str(path))
+    assert path.read_bytes() == _tobytes_writer(model)
 
 
 def _edit_header(path: str, out, edit) -> str:

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from translitkit.codebook import Codebook, CodebookEntry, build_basic
 from translitkit.errors import DecodeError, FormatError, TranslitError
+from translitkit.kernel import kernel_decode
 from translitkit.translit import (
     MODES,
     decode,
     from_latin,
-    kernel_decode,
     scan_decode,
     to_latin,
     translator,
@@ -198,6 +198,7 @@ def test_verify_roundtrip_empty_stream(default_codebook):
 
 
 def test_verify_roundtrip_counts_translit_errors_and_lets_bugs_escape(default_codebook, monkeypatch):
+    import translitkit.kernel as kernel_mod
     import translitkit.translit as translit_mod
 
     def failing(exc):
@@ -207,7 +208,7 @@ def test_verify_roundtrip_counts_translit_errors_and_lets_bugs_escape(default_co
         return decode
 
     # Send every batch to the per-line scalar scan, whose errors verify counts.
-    monkeypatch.setattr(translit_mod, "_kernel", lambda enc, cb: None)
+    monkeypatch.setattr(kernel_mod, "_kernel", lambda enc, cb: None)
     monkeypatch.setattr(translit_mod, "scan_decode", failing(DecodeError("no match")))
     report = verify_roundtrip(["ཀ", "ཁ"], default_codebook)
     assert (report.total, report.failures, report.first_failure_offset) == (2, 2, 0)
