@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import __version__, bpe, codebook, config, freqanalysis, metrics, textio, translit
 from .codespace import DEFAULT_PROFILE
-from .errors import DecodeError, FormatError, TranslitError
+from .errors import TranslitError
 
 log = logging.getLogger("translitkit")
 
@@ -124,11 +124,11 @@ def cmd_decode(args) -> int:
         if text is not None:
             yield text
             return
-        for n, (line, end) in enumerate(textio.split_lines(block), lineno):
-            try:
-                result = translit.scan_decode(line, cb, args.mode)
-            except (DecodeError, FormatError) as exc:
-                raise type(exc)(f"{STDIN} line {n}: {exc}", offset=exc.offset) from None
+        lines = list(textio.split_lines(block))
+        outcomes = translit.decode_lines([line for line, _ in lines], cb, args.mode)
+        for n, (result, (_, end)) in enumerate(zip(outcomes, lines), lineno):
+            if isinstance(result, TranslitError):
+                raise type(result)(f"{STDIN} line {n}: {result}", offset=result.offset) from None
             warnings_total += len(result.warnings)
             for w in result.warnings:
                 log.warning("%s line %d: %s", STDIN, n, w)

@@ -2,8 +2,8 @@
 
 This is the numpy half of `translit`, kept apart so that the processes that
 never decode (encode, analyze, the builds) do not import numpy. `translit`
-owns the grammar and the scalar scan and calls in here for strings long
-enough to pay for the kernel's fixed cost.
+owns the grammar and the scalar scan and calls in here for a batch of lines
+and for strings long enough to pay for the kernel's fixed cost.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class _CodeTable:
     def __init__(self, code_to_char: Mapping[str, int]):
         self.width = width = min(max(map(len, code_to_char), default=1), _MAX_WIDTH)
         codes = [code for code in code_to_char if len(code) <= width]
-        # '`' is 'a' - 1, so a padding letter counts 0 as in `_kernel`.
+        # '`' is 'a' - 1, so a padding letter counts 0 as in `kernel_decode`.
         letters = np.frombuffer("".join(c.ljust(width, "`") for c in codes).encode("ascii"), np.uint8)
         letters = letters.reshape(len(codes), width).astype(np.int64)
         ids = letters[:, 0] - 65
@@ -62,19 +62,19 @@ def _code_table(cb: Codebook) -> _CodeTable:
     return cb.kernel_table
 
 
-def _kernel(enc: str, cb: Codebook) -> tuple[str, np.ndarray] | None:
-    """Decode `enc` in one vectorized pass over its UTF-32 code points.
+def kernel_decode(enc: str, cb: Codebook) -> str | None:
+    """Decode `enc` in one vectorized pass over its UTF-32 code points, or return None.
 
-    Returns the text and the keep mask (which input positions emit a code
-    point), or None when `enc` holds anything the scalar scan must judge: a
-    stray lowercase letter, an unknown or over-long code segment, an empty or
+    The result, when there is one, is what `translit.decode` returns in either
+    mode. None means `enc` holds something the scalar scan must judge: a stray
+    lowercase letter, an unknown or over-long code segment, an empty or
     unterminated '@' run, or a run that crosses '\\n'.
     """
     a = np.frombuffer(enc.encode(_UTF32, "surrogatepass"), np.uint32)
     n = a.size
-    keep = np.ones(n, bool)
     if not n:
-        return "", keep
+        return ""
+    keep = np.ones(n, bool)
     upper = (a - 65) < 26  # wraps below 'A', so one compare tests the range
     lower = (a - 97) < 26
     at = (a == 64).nonzero()[0]
@@ -120,34 +120,4 @@ def _kernel(enc: str, cb: Codebook) -> tuple[str, np.ndarray] | None:
             return None
         out[starts] = cps
         keep &= ~lower
-    return out.compress(keep).tobytes().decode(_UTF32, "surrogatepass"), keep
-
-
-def kernel_decode(enc: str, cb: Codebook) -> str | None:
-    """Decode `enc` in one vectorized pass, or return None if the scalar scan must.
-
-    The result, when there is one, is what `translit.decode` returns in either
-    mode. None means `enc` holds an error, a lenient repair, or an '@' run
-    that crosses a '\\n'; `translit.scan_decode` each line of it to get the
-    result, error or warnings per line.
-    """
-    decoded = _kernel(enc, cb)
-    return None if decoded is None else decoded[0]
-
-
-def decode_lines(encoded: list[str], cb: Codebook) -> list[str] | None:
-    """Decode each of `encoded` (lines without '\\n') in one kernel pass, or None.
-
-    The lines are decoded joined by '\\n'; the kernel's keep mask maps each
-    line's input span to its output span. None as for `kernel_decode`: some
-    line needs the scalar scan.
-    """
-    decoded = _kernel("\n".join(encoded), cb)
-    if decoded is None:
-        return None
-    text, keep = decoded
-    offsets = np.concatenate(([0], np.cumsum(keep)))  # output offset of each input position
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    ends = np.cumsum(lengths + 1) - 1
-    spans = zip(offsets[ends - lengths].tolist(), offsets[ends].tolist())
-    return [text[start:end] for start, end in spans]
+    return out.compress(keep).tobytes().decode(_UTF32, "surrogatepass")

@@ -21,7 +21,6 @@ import numpy as np
 from . import textio
 from .errors import ConfigError, FormatError, TrainingError
 
-DEFAULT_LABELS = ("bo", "mn", "ug", "zh", "other")
 DEFAULT_HASH_BUCKETS = 1 << 20
 
 _MAGIC = b"TKLID\x01\n"
@@ -198,7 +197,13 @@ def train(
     ]
 
     n_labels = len(label_list)
-    weights = np.zeros((hash_buckets, n_labels))
+    try:
+        weights = np.zeros((hash_buckets, n_labels))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
+        raise TrainingError(
+            f"cannot allocate the weight matrix of {hash_buckets} buckets x {n_labels} labels"
+            f" ({hash_buckets * n_labels * 8:,} bytes)"
+        ) from None
     bias = np.zeros(n_labels)
     lr = params.learning_rate
     for _ in range(params.epochs):

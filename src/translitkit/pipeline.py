@@ -22,10 +22,21 @@ from .langid import LangIdModel
 
 LOW_RESOURCE_TAGS = frozenset({"bo", "mn", "ug"})
 
-#: Default script-range name to language tag correspondence.
-SCRIPT_TAGS = {"Tibetan": "bo", "Mongolian": "mn", "Uyghur": "ug", "CJK": "zh"}
-
 MODEL_STAGES = ("identity", "external")
+
+
+def _check_settings(
+    model_stage: str, model_command: str | None, decode_mode: str, confidence_threshold: float
+) -> None:
+    """Raise ValueError on a pipeline setting out of range."""
+    if not 0.0 <= confidence_threshold <= 1.0:
+        raise ValueError(f"confidence_threshold must be in [0,1], got {confidence_threshold}")
+    if model_stage not in MODEL_STAGES:
+        raise ValueError(f"model_stage must be one of {MODEL_STAGES}, got {model_stage!r}")
+    if model_stage == "external" and not model_command:
+        raise ValueError("model_stage 'external' requires model_command")
+    if decode_mode not in translit.MODES:
+        raise ValueError(f"decode_mode must be one of {translit.MODES}")
 
 
 @dataclass
@@ -40,14 +51,7 @@ class PipelineConfig:
     pinyin_transform_path: str | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError(f"confidence_threshold must be in [0,1], got {self.confidence_threshold}")
-        if self.model_stage not in MODEL_STAGES:
-            raise ValueError(f"model_stage must be one of {MODEL_STAGES}, got {self.model_stage!r}")
-        if self.model_stage == "external" and not self.model_command:
-            raise ValueError("model_stage 'external' requires model_command")
-        if self.decode_mode not in translit.MODES:
-            raise ValueError(f"decode_mode must be one of {translit.MODES}")
+        _check_settings(self.model_stage, self.model_command, self.decode_mode, self.confidence_threshold)
 
 
 @dataclass
@@ -79,6 +83,7 @@ class Pipeline:
         confidence_threshold: float = 0.5,
         pinyin_transform: Mapping[int, str] | None = None,
     ):
+        _check_settings(model_stage, model_command, decode_mode, confidence_threshold)
         self.codebook = codebook
         self.input_model = input_model
         self.output_model = output_model
@@ -128,16 +133,14 @@ class Pipeline:
         # Line filters customarily append one newline; our contract is newline-free.
         return out[:-1] if out.endswith("\n") else out
 
-    def _route(self, text: str, pred_in: langid.Prediction) -> tuple[PipelineTrace, bool]:
+    def _route(self, text: str, pred_in: langid.Prediction) -> PipelineTrace:
         """Encode `text` as its input label asks and run the model stage on it.
 
-        Returns the trace so far and whether the encoding was lossy; a stage
-        failure is recorded in the trace.
+        Returns the trace so far; a stage failure is recorded in it.
         """
         warnings: list[str] = []
         work = text
         encoded = False
-        lossy = False
         if pred_in.confidence >= self.threshold:
             if pred_in.label in LOW_RESOURCE_TAGS:
                 work = self._encode(text)
@@ -145,7 +148,6 @@ class Pipeline:
             elif pred_in.label == "zh" and self._encode_pinyin is not None:
                 work = self._encode_pinyin(text)
                 encoded = True
-                lossy = True
                 warnings.append("pinyin transform applied; output is not restorable")
 
         trace = PipelineTrace(
@@ -162,33 +164,32 @@ class Pipeline:
             trace.model_stage_output = self._run_stage(work)
         except TranslitError as exc:
             trace.error = f"{type(exc).__name__}: {exc}"
-        return trace, lossy
+        return trace
 
-    def _restore(
-        self, trace: PipelineTrace, lossy: bool, pred_out: langid.Prediction
-    ) -> tuple[str, PipelineTrace]:
-        """Decode the stage output back to its script if the output label asks for it."""
-        stage_out = trace.model_stage_output
-        trace.output_label = pred_out.label
-        trace.output_confidence = pred_out.confidence
-        if (
-            pred_out.label not in LOW_RESOURCE_TAGS
-            or pred_out.confidence < self.threshold
-            or lossy
-        ):
-            return stage_out, trace
-        try:
-            result = translit.decode(stage_out, self.codebook, self.decode_mode)
-        except TranslitError as exc:
-            trace.error = f"{type(exc).__name__}: {exc}"
-            return stage_out, trace
+    def _restorable(self, trace: PipelineTrace) -> bool:
+        """Whether the output label asks to decode the stage output back to its script.
+
+        A line encoded under any other input label went through the lossy
+        pinyin transform and cannot be restored.
+        """
+        return (
+            trace.output_label in LOW_RESOURCE_TAGS
+            and trace.output_confidence >= self.threshold
+            and not (trace.encoded and trace.input_label not in LOW_RESOURCE_TAGS)
+        )
+
+    def _restore(self, trace: PipelineTrace, outcome: translit.DecodeResult | TranslitError) -> str:
+        """Record the decode outcome of a restorable line; returns the line's final text."""
+        if isinstance(outcome, TranslitError):
+            trace.error = f"{type(outcome).__name__}: {outcome}"
+            return trace.model_stage_output
         trace.restored = True
-        trace.warnings.extend(result.warnings)
-        if trace.encoded and pred_out.label != trace.input_label:
+        trace.warnings.extend(outcome.warnings)
+        if trace.encoded and trace.output_label != trace.input_label:
             trace.warnings.append(
-                f"classifier disagreement: input {trace.input_label}, output {pred_out.label}"
+                f"classifier disagreement: input {trace.input_label}, output {trace.output_label}"
             )
-        return result.text, trace
+        return outcome.text
 
     def process(self, text: str) -> tuple[str, PipelineTrace]:
         """Run one text through all stages; raises StageError on stage failure."""
@@ -201,20 +202,23 @@ class Pipeline:
         """Run every line through all stages, order preserved; failures are
         recorded per line in the trace and the batch continues.
 
-        Each classifier sees the whole batch in one call: the input classifier
-        before any line is encoded, the output classifier once every line has
-        been through the model stage. Restoring is done line by line as the
-        results are taken.
+        Each step sees the whole batch at once: the input classifier before any
+        line is encoded, the output classifier once every line has been through
+        the model stage, and one `translit.decode_lines` call over every line
+        the output classifier asks to restore.
         """
         texts = list(lines)
-        routed = [
-            self._route(text, pred)
-            for text, pred in zip(texts, langid.predict_many(texts, self.input_model))
-        ]
-        stage_outs = [trace.model_stage_output for trace, _ in routed if trace.error is None]
-        preds_out = iter(langid.predict_many(stage_outs, self.output_model))
-        for text, (trace, lossy) in zip(texts, routed):
-            if trace.error is not None:
-                yield text, trace
-            else:
-                yield self._restore(trace, lossy, next(preds_out))
+        preds_in = langid.predict_many(texts, self.input_model)
+        traces = [self._route(text, pred) for text, pred in zip(texts, preds_in)]
+        finals = texts[:]  # a line whose stage failed comes back as it went in
+        ran = [i for i, trace in enumerate(traces) if trace.error is None]
+        preds_out = langid.predict_many([traces[i].model_stage_output for i in ran], self.output_model)
+        for i, pred in zip(ran, preds_out):
+            traces[i].output_label = pred.label
+            traces[i].output_confidence = pred.confidence
+            finals[i] = traces[i].model_stage_output
+        restore = [i for i in ran if self._restorable(traces[i])]
+        outcomes = translit.decode_lines([finals[i] for i in restore], self.codebook, self.decode_mode)
+        for i, outcome in zip(restore, outcomes):
+            finals[i] = self._restore(traces[i], outcome)
+        yield from zip(finals, traces)

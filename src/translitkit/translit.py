@@ -85,8 +85,9 @@ def to_latin(text: str, cb: Codebook, transform: Mapping[int, str] | None = None
 # whole string in one vectorized pass but only accepts what it can decode
 # exactly; the scalar scan is the general left-to-right parser that reports
 # errors and makes the lenient repairs. `decode` tries the kernel first on all
-# but short strings. `kernel` is imported where it is called, so that a
-# process that never decodes a long string does not import numpy.
+# but short strings; `decode_lines` decodes a list of lines in one kernel pass
+# and falls back to `decode` line by line. `kernel` is imported where it is
+# called, so that a process that never reaches it does not import numpy.
 
 
 def _check_mode(mode: str) -> None:
@@ -237,24 +238,31 @@ def _batches(lines: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def _roundtrips(lines: list[str], encoded: list[str], cb: Codebook) -> list[bool]:
-    """Per line, whether strict decoding of its encoding gives it back.
+def decode_lines(
+    encoded: list[str], cb: Codebook, mode: str = "strict"
+) -> list[DecodeResult | TranslitError]:
+    """Decode each of `encoded`; per line, its DecodeResult or the TranslitError it raised.
 
-    The encodings are decoded together in one kernel pass, or line by line
-    with the scalar scan when the kernel declines.
+    The lines go through the kernel joined by '\\n' and are split back at '\\n'.
+    The kernel copies each '\\n' through, so the split gives one piece per line
+    unless some line decodes to text holding '\\n'. When the kernel declines,
+    or the count is off, each line goes through `decode` on its own.
     """
+    _check_mode(mode)
     from . import kernel
 
-    decoded = kernel.decode_lines(encoded, cb)
-    if decoded is not None:
-        return [text == line for line, text in zip(lines, decoded)]
-    oks = []
-    for line, enc in zip(lines, encoded):
+    text = kernel.kernel_decode("\n".join(encoded), cb)
+    if text is not None:
+        pieces = text.split("\n")
+        if len(pieces) == len(encoded):
+            return [DecodeResult(piece, []) for piece in pieces]
+    outcomes: list[DecodeResult | TranslitError] = []
+    for enc in encoded:
         try:
-            oks.append(scan_decode(enc, cb, "strict").text == line)
-        except TranslitError:
-            oks.append(False)
-    return oks
+            outcomes.append(decode(enc, cb, mode))
+        except TranslitError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
@@ -264,8 +272,9 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     failures = 0
     first: int | None = None
     for batch in _batches(lines):
-        for offset, ok in enumerate(_roundtrips(batch, [encode(line) for line in batch], cb), total):
-            if not ok:
+        outcomes = decode_lines([encode(line) for line in batch], cb)
+        for offset, (line, out) in enumerate(zip(batch, outcomes), total):
+            if isinstance(out, TranslitError) or out.text != line:
                 failures += 1
                 if first is None:
                     first = offset

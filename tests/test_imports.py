@@ -90,8 +90,12 @@ def test_commands_without_a_kernel_do_not_load_numpy(files, name):
 
 @pytest.mark.parametrize(
     "argv, langid_loaded",
-    [(["decode", "--codebook", "cb.tsv"], False), (["detect", "--model", "m.lid", "ཀཁ"], True)],
-    ids=["decode", "detect"],
+    [
+        (["decode", "--codebook", "cb.tsv"], False),
+        (["verify", "corpus.txt", "--codebook", "cb.tsv"], False),
+        (["detect", "--model", "m.lid", "ཀཁ"], True),
+    ],
+    ids=["decode", "verify", "detect"],
 )
 def test_commands_with_a_kernel_load_numpy(files, argv, langid_loaded):
     stdin = (files / "encoded.txt").read_text(encoding="utf-8")

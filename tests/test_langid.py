@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import resource
 import struct
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import ref_ngram_ids, ref_predict
+import translitkit
 from translitkit import langid, synth
 from translitkit.cli import main
 from translitkit.errors import ConfigError, FormatError, InputError, TrainingError
@@ -27,6 +32,7 @@ from translitkit.langid import (
 
 FAST = TrainingParams(epochs=3, min_count=1)
 SMALL_BUCKETS = 1 << 12
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(translitkit.__file__)))
 
 
 def toy_examples():
@@ -91,6 +97,37 @@ def test_langid_train_rejects_bad_params_with_exit_2(tmp_path, capsys, flags, pa
     assert main(["langid-train", str(labeled), "--params", str(cfg), *flags, "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"error: TrainingError: {message}\n"
     assert not out.exists()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_langid_train_too_large_a_weight_matrix_exits_2(tmp_path):
+    labeled = tmp_path / "train.txt"
+    labeled.write_text("".join(f"__label__{tag}\t{text}\n" for text, tag in toy_examples()), encoding="utf-8")
+    out = tmp_path / "model.lid"
+    # Under a 2 GiB address space the allocation fails whatever the host's overcommit setting.
+    proc = subprocess.run(
+        [sys.executable, "-m", "translitkit", "langid-train", str(labeled),
+         "--hash-buckets", "10000000000000", "-o", str(out)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == 2, err
+    assert err == (
+        "error: TrainingError: cannot allocate the weight matrix of 10000000000000 buckets x 2 labels"
+        " (160,000,000,000,000 bytes)\n"
+    )
+    assert not out.exists()
+
+
+def test_train_rejects_a_weight_matrix_larger_than_memory_can_address():
+    with pytest.raises(TrainingError, match=f"cannot allocate the weight matrix of {10**18} buckets x 2 labels"):
+        train(toy_examples(), FAST, hash_buckets=10**18)
 
 
 def test_empty_text_is_other_uniform():

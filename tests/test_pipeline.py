@@ -9,7 +9,7 @@ from translitkit import synth
 from translitkit.codebook import build_basic
 from translitkit.errors import StageError
 from translitkit.langid import TrainingParams, train
-from translitkit.pipeline import Pipeline, PipelineConfig, PipelineTrace
+from translitkit.pipeline import LOW_RESOURCE_TAGS, Pipeline, PipelineConfig, PipelineTrace
 from translitkit.translit import to_latin
 
 BUCKETS = 1 << 16
@@ -124,6 +124,43 @@ def test_batch_preserves_order_and_isolates_failures(models, rng):
     # the middle line is flagged only if "Q" was routed to restoration;
     # either way the stream continued and order held
     assert results[1][0] in ("Q", bad)
+
+
+def test_batch_isolates_a_line_that_fails_to_restore(models, rng):
+    cb, input_model, output_model = models
+    lines = [synth.script_line(rng, tag) for tag in ("bo", "mn", "other", "ug", "bo", "mn")]
+    bad = to_latin(lines[3], cb)
+    unknown = next(c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in cb.code_to_char)
+    # Echo every line but one, which gets an unknown code appended.
+    script = f"import sys; t = sys.stdin.read(); print(t + {unknown!r} if t == {bad!r} else t, end='')"
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+    pl = Pipeline(cb, input_model, output_model, model_stage="external", model_command=cmd)
+    results = list(pl.batch(lines))
+    finals = [final for final, _ in results]
+    traces = [trace for _, trace in results]
+    assert traces[3].output_label in LOW_RESOURCE_TAGS and traces[3].output_confidence >= 0.5
+    assert traces[3].error.startswith("DecodeError: ")
+    assert not traces[3].restored
+    assert finals[3] == traces[3].model_stage_output == bad + unknown
+    assert finals[:3] + finals[4:] == lines[:3] + lines[4:]
+    assert [trace.restored for trace in traces] == [True, True, False, False, True, True]
+    assert all(trace.error is None for i, trace in enumerate(traces) if i != 3)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"confidence_threshold": 7},
+        {"confidence_threshold": -0.1},
+        {"model_stage": "banana"},
+        {"model_stage": "external"},
+        {"decode_mode": "loose"},
+    ],
+)
+def test_pipeline_checks_its_own_settings(models, settings):
+    cb, input_model, output_model = models
+    with pytest.raises(ValueError):
+        Pipeline(cb, input_model, output_model, **settings)
 
 
 def test_batch_identity_mixed(identity_pipeline, rng):

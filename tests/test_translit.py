@@ -9,6 +9,7 @@ from translitkit.kernel import kernel_decode
 from translitkit.translit import (
     MODES,
     decode,
+    decode_lines,
     from_latin,
     scan_decode,
     to_latin,
@@ -208,7 +209,7 @@ def test_verify_roundtrip_counts_translit_errors_and_lets_bugs_escape(default_co
         return decode
 
     # Send every batch to the per-line scalar scan, whose errors verify counts.
-    monkeypatch.setattr(kernel_mod, "_kernel", lambda enc, cb: None)
+    monkeypatch.setattr(kernel_mod, "kernel_decode", lambda enc, cb: None)
     monkeypatch.setattr(translit_mod, "scan_decode", failing(DecodeError("no match")))
     report = verify_roundtrip(["ཀ", "ཁ"], default_codebook)
     assert (report.total, report.failures, report.first_failure_offset) == (2, 2, 0)
@@ -234,12 +235,18 @@ SPARSE_CB = _codebook(["B", "Ba", "Bab", "Babcd", "Babcde", "Xyzzyqa", "Q"])
 PIECES = list("ABQXZabxyz@\n\r é·😀𝔸") + ["@@", "@@@", "ཀ", "一"]
 
 
-def _outcome(enc: str, cb: Codebook, mode: str):
+def _as_outcome(out):
+    """A DecodeResult or a raised TranslitError, in a form that compares by value."""
+    if isinstance(out, TranslitError):
+        return type(out), out.offset, str(out)
+    return out.text, out.warnings
+
+
+def _outcome(enc: str, cb: Codebook, mode: str, decoder=scan_decode):
     try:
-        result = scan_decode(enc, cb, mode)
+        return _as_outcome(decoder(enc, cb, mode))
     except TranslitError as exc:
-        return type(exc), exc.offset, str(exc)
-    return result.text, result.warnings
+        return _as_outcome(exc)
 
 
 def _encoded(cb: Codebook):
@@ -264,6 +271,37 @@ def test_kernel_matches_scalar_scan(name, data, default_codebook):
     for mode in MODES:
         assert _outcome(enc, cb, mode) == (text, [])
     assert ref_decode(enc, cb.code_to_char) == text
+
+
+NEWLINE_CB = build_basic([0x0F40, 0x0A, 0x0D])  # '\n' -> "C", '\r' -> "D"
+
+
+@pytest.mark.parametrize("name", ["default", "long", "sparse", "newline"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decode_lines_matches_decode_line_by_line(name, data, default_codebook):
+    cb = {"default": default_codebook, "long": LONG_CB, "sparse": SPARSE_CB, "newline": NEWLINE_CB}[name]
+    encoded = data.draw(st.lists(_encoded(cb), max_size=8))
+    for mode in MODES:
+        outcomes = decode_lines(encoded, cb, mode)
+        assert len(outcomes) == len(encoded)
+        assert [_as_outcome(out) for out in outcomes] == [_outcome(enc, cb, mode, decode) for enc in encoded]
+
+
+def test_decode_lines_of_no_lines_is_empty(default_codebook):
+    for mode in MODES:
+        assert decode_lines([], default_codebook, mode) == []
+
+
+def test_decode_lines_splits_only_when_each_line_gives_one_piece():
+    # "C" decodes to '\n', so one kernel pass over the joined lines gives one piece too many.
+    outcomes = decode_lines(["BC", "B", "Q"], NEWLINE_CB, "lenient")
+    assert [_as_outcome(out) for out in outcomes] == [
+        ("ཀ\n", []),
+        ("ཀ", []),
+        ("Q", ["offset 0: unknown code segment 'Q'"]),
+    ]
+    assert [out.text for out in decode_lines(["BD", "B"], NEWLINE_CB)] == ["ཀ\r", "ཀ"]
 
 
 @pytest.mark.parametrize("name", ["default", "long"])
