@@ -270,6 +270,6 @@ def load_model(dirpath: str, byte_fallback: bool = False) -> BpeModel:
             continue
         parts = line.split(" ")
         if len(parts) != 2:
-            raise FormatError(f"merges.txt line {lineno}: expected two space-separated symbols")
+            raise FormatError(f"{merges_path} line {lineno}: expected two space-separated symbols")
         merges.append((parts[0], parts[1]))
     return BpeModel(vocab, merges, byte_fallback)

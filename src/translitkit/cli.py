@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import logging
 import sys
 from typing import Callable, Iterable, Iterator
@@ -199,10 +198,6 @@ def cmd_langid_train(args) -> int:
         params, buckets = config.load_training_params(args.params)
     else:
         params, buckets = langid.TrainingParams.input_defaults(), langid.DEFAULT_HASH_BUCKETS
-    if args.hash_buckets is not None:
-        buckets = args.hash_buckets
-    if args.seed is not None:
-        params = dataclasses.replace(params, seed=args.seed)
     model = langid.train(examples, params, hash_buckets=buckets)
     langid.save_model(model, args.out)
     log.info("trained language-id model over %s -> %s", model.labels, args.out)
@@ -247,8 +242,13 @@ def cmd_pipeline(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="translitkit", description=__doc__)
     parser.add_argument("--version", action="store_true", help="print toolkit and format versions")
-    parser.add_argument("--log-level", default="warning", help="stderr log level")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded into trained models")
+    parser.add_argument(
+        "--log-level",
+        type=str.lower,
+        choices=("debug", "info", "warning", "error", "critical"),
+        default="warning",
+        help="stderr log level",
+    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("analyze", help="count code points per script range")
@@ -306,7 +306,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("langid-train", help="train a language-id model on __label__ lines")
     p.add_argument("labeled")
     p.add_argument("--params", help="training params config")
-    p.add_argument("--hash-buckets", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output model file")
     p.set_defaults(func=cmd_langid_train)
 

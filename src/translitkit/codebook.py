@@ -22,6 +22,10 @@ _BYTE_TOKEN = re.compile(r"<0x([0-9A-F]{2})>")  # a byte-fallback token
 _RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
 
 
+def _reserved(cp: int) -> str:
+    return f"U+{cp:04X} ({chr(cp)!r}) is reserved by the wire grammar"
+
+
 @dataclass(frozen=True)
 class CodebookEntry:
     codepoint: int
@@ -50,9 +54,7 @@ class Codebook:
             if not is_valid_code(e.code):
                 raise FormatError(f"invalid code {e.code!r} for U+{e.codepoint:04X}")
             if e.codepoint in _RESERVED:
-                raise IntegrityError(
-                    f"U+{e.codepoint:04X} ({chr(e.codepoint)!r}) is reserved by the wire grammar"
-                )
+                raise IntegrityError(_reserved(e.codepoint))
             if e.codepoint in c2l:
                 raise IntegrityError(f"duplicate character U+{e.codepoint:04X}")
             if e.code in l2c:
@@ -193,12 +195,14 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
     lines = textio.read_lines(src, name)
     header = next(lines, ("", ""))[0]
     if not header.startswith("#strategy="):
-        raise FormatError("line 1: expected header '#strategy=<s> freq_digest=<hex>'")
+        raise FormatError(f"{name} line 1: expected header '#strategy=<s> freq_digest=<hex>'")
     fields = dict(
         part.split("=", 1) for part in header[1:].split(" ") if "=" in part
     )
     strategy = fields.get("strategy", "")
     digest = fields.get("freq_digest", "")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"{name} line 1: unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     entries = []
     seen_chars: dict[int, int] = {}
     seen_codes: dict[str, int] = {}
@@ -207,27 +211,29 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
             continue
         cols = line.split("\t")
         if len(cols) != 4:
-            raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
+            raise FormatError(f"{name} line {lineno}: expected 4 tab-separated fields")
         try:
             cp = int(cols[0], 16)
             rank = int(cols[2])
             token_count = int(cols[3])
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise FormatError(f"{name} line {lineno}: {exc}") from exc
         if not 0 <= cp <= 0x10FFFF:
-            raise FormatError(f"line {lineno}: code point {cols[0]!r} out of range")
+            raise FormatError(f"{name} line {lineno}: code point {cols[0]!r} out of range")
         if 0xD800 <= cp <= 0xDFFF:
-            raise FormatError(f"line {lineno}: code point U+{cp:04X} is a surrogate")
+            raise FormatError(f"{name} line {lineno}: code point U+{cp:04X} is a surrogate")
         code = cols[1]
         if not is_valid_code(code):
-            raise FormatError(f"line {lineno}: invalid code {code!r}")
+            raise FormatError(f"{name} line {lineno}: invalid code {code!r}")
+        if cp in _RESERVED:
+            raise IntegrityError(f"{name} line {lineno}: {_reserved(cp)}")
         if cp in seen_chars:
             raise IntegrityError(
-                f"line {lineno}: character U+{cp:04X} already mapped on line {seen_chars[cp]}"
+                f"{name} line {lineno}: character U+{cp:04X} already mapped on line {seen_chars[cp]}"
             )
         if code in seen_codes:
             raise IntegrityError(
-                f"line {lineno}: code {code!r} already mapped on line {seen_codes[code]}"
+                f"{name} line {lineno}: code {code!r} already mapped on line {seen_codes[code]}"
             )
         seen_chars[cp] = lineno
         seen_codes[code] = lineno
@@ -256,12 +262,12 @@ def load_transform(path: str) -> dict[int, str]:
             continue
         cols = line.split("\t")
         if len(cols) != 2 or not cols[1]:
-            raise FormatError(f"line {lineno}: expected 'codepoint_hex<TAB>replacement'")
+            raise FormatError(f"{path} line {lineno}: expected 'codepoint_hex<TAB>replacement'")
         try:
             cp = int(cols[0], 16)
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise FormatError(f"{path} line {lineno}: {exc}") from exc
         if cp in table:
-            raise IntegrityError(f"line {lineno}: duplicate codepoint U+{cp:04X}")
+            raise IntegrityError(f"{path} line {lineno}: duplicate codepoint U+{cp:04X}")
         table[cp] = cols[1]
     return table

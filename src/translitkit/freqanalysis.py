@@ -140,23 +140,23 @@ def read_tsv(src: BinaryIO, name: str = "<frequency tsv>") -> FrequencyTable:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
+            raise FormatError(f"{name} line {lineno}: expected 4 tab-separated fields")
         try:
             cp = int(fields[0])
             hexval = int(fields[1].removeprefix("U+"), 16)
             count = int(fields[3])
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise FormatError(f"{name} line {lineno}: {exc}") from exc
         if not 0 <= cp <= 0x10FFFF:
-            raise FormatError(f"line {lineno}: code point {fields[0]!r} out of range")
+            raise FormatError(f"{name} line {lineno}: code point {fields[0]!r} out of range")
         if 0xD800 <= cp <= 0xDFFF:
-            raise FormatError(f"line {lineno}: code point U+{cp:04X} is a surrogate")
+            raise FormatError(f"{name} line {lineno}: code point U+{cp:04X} is a surrogate")
         if hexval != cp:
-            raise FormatError(f"line {lineno}: hex column U+{hexval:04X} != codepoint {cp}")
+            raise FormatError(f"{name} line {lineno}: hex column U+{hexval:04X} != codepoint {cp}")
         if count <= 0:
-            raise FormatError(f"line {lineno}: count must be positive")
+            raise FormatError(f"{name} line {lineno}: count must be positive")
         if cp in counts:
-            raise IntegrityError(f"line {lineno}: duplicate codepoint U+{cp:04X}")
+            raise IntegrityError(f"{name} line {lineno}: duplicate codepoint U+{cp:04X}")
         counts[cp] = count
         script_of[cp] = fields[2]
     scripts = scripts | frozenset(s for s in script_of.values() if s != OTHER)

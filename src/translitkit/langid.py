@@ -346,7 +346,7 @@ def read_labeled(path: str) -> list[tuple[str, str]]:
         if not line:
             continue
         if not line.startswith("__label__") or "\t" not in line:
-            raise FormatError(f"line {lineno}: expected '__label__<tag>\\t<text>'")
+            raise FormatError(f"{path} line {lineno}: expected '__label__<tag>\\t<text>'")
         tag, text = line.split("\t", 1)
         examples.append((text, tag[len("__label__") :]))
     return examples

@@ -133,10 +133,11 @@ class Pipeline:
         # Line filters customarily append one newline; our contract is newline-free.
         return out[:-1] if out.endswith("\n") else out
 
-    def _route(self, text: str, pred_in: langid.Prediction) -> PipelineTrace:
+    def _route(self, text: str, pred_in: langid.Prediction) -> tuple[PipelineTrace, str]:
         """Encode `text` as its input label asks and run the model stage on it.
 
-        Returns the trace so far; a stage failure is recorded in it.
+        Returns the trace so far, a stage failure recorded in it, and the text
+        sent to the stage.
         """
         warnings: list[str] = []
         work = text
@@ -164,19 +165,22 @@ class Pipeline:
             trace.model_stage_output = self._run_stage(work)
         except TranslitError as exc:
             trace.error = f"{type(exc).__name__}: {exc}"
-        return trace
+        return trace, work
 
-    def _restorable(self, trace: PipelineTrace) -> bool:
-        """Whether the output label asks to decode the stage output back to its script.
+    def _restorable(self, trace: PipelineTrace, sent: str) -> bool:
+        """Whether to decode the stage output back to its script.
 
-        A line encoded under any other input label went through the lossy
-        pinyin transform and cannot be restored.
+        A line encoded from a low-resource input label whose stage output is
+        the text it was sent is code, so it is restored whatever the output
+        classifier reads; this makes the identity stage lossless. Otherwise the
+        output label must ask for it. A line encoded under any other input
+        label went through the lossy pinyin transform and cannot be restored.
         """
-        return (
-            trace.output_label in LOW_RESOURCE_TAGS
-            and trace.output_confidence >= self.threshold
-            and not (trace.encoded and trace.input_label not in LOW_RESOURCE_TAGS)
-        )
+        if trace.encoded and trace.input_label not in LOW_RESOURCE_TAGS:
+            return False
+        if trace.encoded and trace.model_stage_output == sent:
+            return True
+        return trace.output_label in LOW_RESOURCE_TAGS and trace.output_confidence >= self.threshold
 
     def _restore(self, trace: PipelineTrace, outcome: translit.DecodeResult | TranslitError) -> str:
         """Record the decode outcome of a restorable line; returns the line's final text."""
@@ -205,11 +209,12 @@ class Pipeline:
         Each step sees the whole batch at once: the input classifier before any
         line is encoded, the output classifier once every line has been through
         the model stage, and one `translit.decode_lines` call over every line
-        the output classifier asks to restore.
+        to restore.
         """
         texts = list(lines)
         preds_in = langid.predict_many(texts, self.input_model)
-        traces = [self._route(text, pred) for text, pred in zip(texts, preds_in)]
+        routed = [self._route(text, pred) for text, pred in zip(texts, preds_in)]
+        traces = [trace for trace, _ in routed]
         finals = texts[:]  # a line whose stage failed comes back as it went in
         ran = [i for i, trace in enumerate(traces) if trace.error is None]
         preds_out = langid.predict_many([traces[i].model_stage_output for i in ran], self.output_model)
@@ -217,7 +222,7 @@ class Pipeline:
             traces[i].output_label = pred.label
             traces[i].output_confidence = pred.confidence
             finals[i] = traces[i].model_stage_output
-        restore = [i for i in ran if self._restorable(traces[i])]
+        restore = [i for i in ran if self._restorable(*routed[i])]
         outcomes = translit.decode_lines([finals[i] for i in restore], self.codebook, self.decode_mode)
         for i, outcome in zip(restore, outcomes):
             finals[i] = self._restore(traces[i], outcome)

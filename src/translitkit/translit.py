@@ -27,8 +27,11 @@ from .textio import BLOCK_SIZE
 MODES = ("strict", "lenient")
 
 _PRESERVE_SPLIT = re.compile(r"([A-Za-z@]+)")
-_SEGMENT_SPLIT = re.compile(r"([A-Z][a-z]*)")
-_LOWER_SEARCH = re.compile(r"[a-z]").search
+# One alternative per token of the grammar: an '@' run (its content, '@@' for
+# each '@'), a code segment, a stretch of passthrough characters, and a lone
+# '@' or lowercase letter, which is an error. `(?!@)` keeps a run from ending
+# on the first '@' of a pair, so an unterminated run is caught at its start.
+_TOKEN = re.compile(r"@((?:[^@]|@@)*)@(?!@)|([A-Z][a-z]*)|[^@A-Za-z]+|(.)")
 
 # Below about this many characters the scalar scan beats the kernel's fixed
 # cost of some thirty numpy calls (measured crossover: 200-350 characters).
@@ -95,60 +98,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _read_preserved(enc: str, start: int, out: list[str]) -> int:
-    """Parse one '@'-wrapped run beginning at `start`; returns the next index."""
-    j = start + 1
-    buf = []
-    while True:
-        k = enc.find("@", j)
-        if k == -1:
-            raise FormatError(f"unterminated '@' run starting at offset {start}", offset=start)
-        buf.append(enc[j:k])
-        if enc[k + 1 : k + 2] == "@":
-            buf.append("@")
-            j = k + 2
-        else:
-            j = k + 1
-            break
-    content = "".join(buf)
-    if not content:
-        raise FormatError(f"empty '@' run at offset {start}", offset=start)
-    out.append(content)
-    return j
-
-
-def _decode_chunk(
-    chunk: str,
-    base: int,
-    cb: Codebook,
-    mode: str,
-    out: list[str],
-    warnings: list[str],
-) -> None:
-    """Decode an '@'-free stretch: code segments plus passthrough characters."""
-    lookup = cb.code_to_text
-    get = lookup.get
-    pos = base
-    for i, piece in enumerate(_SEGMENT_SPLIT.split(chunk)):
-        if not piece:
-            continue
-        if i & 1:  # one uppercase letter plus its lowercase tail
-            ch = get(piece)
-            if ch is not None:
-                out.append(ch)
-            else:
-                _decode_segment_greedy(piece, pos, lookup, mode, out, warnings)
-        else:
-            m = _LOWER_SEARCH(piece)
-            if m:
-                off = pos + m.start()
-                raise FormatError(
-                    f"stray lowercase letter {piece[m.start()]!r} at offset {off}", offset=off
-                )
-            out.append(piece)
-        pos += len(piece)
-
-
 def _decode_segment_greedy(
     seg: str,
     off: int,
@@ -187,18 +136,27 @@ def scan_decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
     offsets relative to `enc`. An '@' run may hold any character, '\\n' too.
     """
     _check_mode(mode)
+    lookup = cb.code_to_text
     out: list[str] = []
     warnings: list[str] = []
-    i = 0
-    n = len(enc)
-    while i < n:
-        k = enc.find("@", i)
-        if k == -1:
-            _decode_chunk(enc[i:], i, cb, mode, out, warnings)
-            break
-        if k > i:
-            _decode_chunk(enc[i:k], i, cb, mode, out, warnings)
-        i = _read_preserved(enc, k, out)
+    for m in _TOKEN.finditer(enc):
+        run, seg, bad = m.groups()
+        if seg is not None:
+            ch = lookup.get(seg)
+            if ch is not None:
+                out.append(ch)
+            else:
+                _decode_segment_greedy(seg, m.start(), lookup, mode, out, warnings)
+        elif run:
+            out.append(run.replace("@@", "@"))
+        elif run is not None:
+            raise FormatError(f"empty '@' run at offset {m.start()}", offset=m.start())
+        elif bad is None:
+            out.append(m.group())
+        elif bad == "@":
+            raise FormatError(f"unterminated '@' run starting at offset {m.start()}", offset=m.start())
+        else:
+            raise FormatError(f"stray lowercase letter {bad!r} at offset {m.start()}", offset=m.start())
     return DecodeResult("".join(out), warnings)
 
 

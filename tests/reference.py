@@ -42,19 +42,33 @@ def ref_encode(text: str, char_to_code: dict[int, str]) -> str:
     return "".join(out)
 
 
+class RefDecodeError(Exception):
+    """The first grammar error `ref_decode` meets: its kind and the offset where it starts."""
+
+    def __init__(self, kind: str, offset: int):
+        super().__init__(f"{kind} at {offset}")
+        self.kind = kind
+        self.offset = offset
+
+
 def ref_decode(enc: str, code_to_char: dict[str, int]) -> str:
-    """Exact segment decoding: every uppercase-led segment must be one full code."""
+    """Exact segment decoding: every uppercase-led segment must be one full code.
+
+    Raises RefDecodeError of kind "unterminated run", "empty run", "stray
+    lowercase" or "unknown segment" at the first error.
+    """
     out = []
     i = 0
     n = len(enc)
     while i < n:
         ch = enc[i]
         if ch == "@":
+            start = i
             i += 1
             buf = []
             while True:
                 if i >= n:
-                    raise ValueError(f"unterminated run at {i}")
+                    raise RefDecodeError("unterminated run", start)
                 if enc[i] == "@":
                     if i + 1 < n and enc[i + 1] == "@":
                         buf.append("@")
@@ -66,7 +80,7 @@ def ref_decode(enc: str, code_to_char: dict[str, int]) -> str:
                     buf.append(enc[i])
                     i += 1
             if not buf:
-                raise ValueError("empty run")
+                raise RefDecodeError("empty run", start)
             out.extend(buf)
         elif "A" <= ch <= "Z":
             j = i + 1
@@ -74,11 +88,11 @@ def ref_decode(enc: str, code_to_char: dict[str, int]) -> str:
                 j += 1
             segment = enc[i:j]
             if segment not in code_to_char:
-                raise KeyError(segment)
+                raise RefDecodeError("unknown segment", i)
             out.append(chr(code_to_char[segment]))
             i = j
         elif "a" <= ch <= "z":
-            raise ValueError(f"stray lowercase at {i}")
+            raise RefDecodeError("stray lowercase", i)
         else:
             out.append(ch)
             i += 1

@@ -104,6 +104,22 @@ def test_usage_errors_exit_1(capsys):
     assert "error: usage:" in err
 
 
+def test_log_level_is_checked_as_a_usage_error(capsys):
+    assert main(["--log-level", "foo", "--version"]) == 1
+    assert capsys.readouterr().err.startswith("error: usage: argument --log-level: invalid choice: 'foo'")
+    assert main(["--log-level", "ERROR", "--version"]) == 0
+    assert logging.getLogger("translitkit").level == logging.ERROR
+    assert main(["--version"]) == 0  # back to the default
+    assert logging.getLogger("translitkit").level == logging.WARNING
+
+
+def test_langid_train_options_come_only_from_the_params_file(capsys, tmp_path):
+    labeled, out = str(tmp_path / "labeled.txt"), str(tmp_path / "m.lid")
+    assert main(["--seed", "3", "langid-train", labeled, "-o", out]) == 1
+    assert main(["langid-train", labeled, "--hash-buckets", "64", "-o", out]) == 1
+    assert capsys.readouterr().err.count("error: usage:") == 2
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     assert main(["verify", str(tmp_path / "nope.txt"), "--codebook", str(tmp_path / "cb.tsv")]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -161,7 +161,7 @@ def test_tsv_rejects_impossible_code_points(tmp_path, capsys, row, message):
     freq = tmp_path / "freq.tsv"
     freq.write_text(text, encoding="utf-8")
     assert main(["build-codebook", "--freq", str(freq), "--strategy", "basic"]) == 2
-    assert capsys.readouterr().err.startswith("error: FormatError: line 2: code point")
+    assert capsys.readouterr().err.startswith(f"error: FormatError: {freq} line 2: code point")
 
 
 def test_scan_file_reports_byte_offset(tmp_path):

@@ -76,8 +76,8 @@ def test_labels_outside_label_set_rejected():
 @pytest.mark.parametrize(
     "flags, params, message",
     [
-        (["--hash-buckets", "-1"], "", "hash_buckets must be at least 1, got -1"),
-        (["--hash-buckets", "0"], "", "hash_buckets must be at least 1, got 0"),
+        (["--log-level", "ERROR"], "hash_buckets = -1", "hash_buckets must be at least 1, got -1"),
+        (["--log-level", "debug"], "preset = output\nhash_buckets = 0", "hash_buckets must be at least 1, got 0"),
         ([], "hash_buckets = 0", "hash_buckets must be at least 1, got 0"),
         ([], "ngram_min = 3\nngram_max = 2", "ngram_min must not exceed ngram_max, got 3 > 2"),
         ([], "ngram_min = 0", "ngram_min must be at least 1, got 0"),
@@ -94,7 +94,8 @@ def test_langid_train_rejects_bad_params_with_exit_2(tmp_path, capsys, flags, pa
     cfg = tmp_path / "params.cfg"
     cfg.write_text(params + "\n", encoding="utf-8")  # the checks run before any training
     out = tmp_path / "model.lid"
-    assert main(["langid-train", str(labeled), "--params", str(cfg), *flags, "-o", str(out)]) == 2
+    # `flags` are global options: whatever the log level, stderr holds the one error line.
+    assert main([*flags, "langid-train", str(labeled), "--params", str(cfg), "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"error: TrainingError: {message}\n"
     assert not out.exists()
 
@@ -106,11 +107,13 @@ def _limit_address_space():
 def test_langid_train_too_large_a_weight_matrix_exits_2(tmp_path):
     labeled = tmp_path / "train.txt"
     labeled.write_text("".join(f"__label__{tag}\t{text}\n" for text, tag in toy_examples()), encoding="utf-8")
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("hash_buckets = 10000000000000\n", encoding="utf-8")
     out = tmp_path / "model.lid"
     # Under a 2 GiB address space the allocation fails whatever the host's overcommit setting.
     proc = subprocess.run(
         [sys.executable, "-m", "translitkit", "langid-train", str(labeled),
-         "--hash-buckets", "10000000000000", "-o", str(out)],
+         "--params", str(cfg), "-o", str(out)],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": SRC},
         preexec_fn=_limit_address_space,

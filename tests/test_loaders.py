@@ -140,10 +140,10 @@ def test_pipeline_from_config_raises_input_error_on_a_corrupt_codebook(files):
 
 def test_lone_cr_stays_inside_a_codebook_row(files, capsys):
     path = files("cr.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\r0F41\tC\t2\t0\n")
-    with pytest.raises(FormatError, match=r"^line 2: expected 4 tab-separated fields$"):
+    with pytest.raises(FormatError, match=rf"^{path} line 2: expected 4 tab-separated fields$"):
         codebook.load_path(path)
     assert main(["encode", "--codebook", path]) == 2
-    assert capsys.readouterr().err == "error: FormatError: line 2: expected 4 tab-separated fields\n"
+    assert capsys.readouterr().err == f"error: FormatError: {path} line 2: expected 4 tab-separated fields\n"
 
 
 def test_lone_cr_stays_inside_a_config_value(files, capsys):
@@ -160,7 +160,7 @@ def test_lone_cr_stays_inside_a_frequency_row(files, capsys):
     assert _read_tsv_path(good).script_of == {0x0F40: "Tib\retan", 0x0F41: "Tibetan"}
     bad = files("cr-bad.tsv", "#scripts=Tibetan\n3904\tU+0F40\tTib\retan\t1\n3905\tU+0F41\tTibetan\n")
     assert main(["build-codebook", "--freq", bad, "--strategy", "basic"]) == 2
-    assert capsys.readouterr().err == "error: FormatError: line 3: expected 4 tab-separated fields\n"
+    assert capsys.readouterr().err == f"error: FormatError: {bad} line 3: expected 4 tab-separated fields\n"
 
 
 def test_lone_cr_stays_inside_transform_and_vocab_lines(files):
@@ -177,8 +177,43 @@ def test_a_bom_after_the_start_of_a_file_is_text(files):
     assert model.vocab == ["a", "\ufeffb", "ab", "\ufeffab"]
     assert model.merges == [("\ufeffa", "b")]
     path = files("bom-cb.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n\ufeff0F41\tC\t2\t0\n")
-    with pytest.raises(FormatError, match=r"^line 3: invalid literal"):
+    with pytest.raises(FormatError, match=rf"^{path} line 3: invalid literal"):
         codebook.load_path(path)
+
+
+# --- every loader error names its file and line ---------------------------------
+
+
+# (file, its bad text, the command that reads it, the error after the file's path)
+_LOCATED = [
+    ("transform.tsv", "4F60\tni3\n597D\n",
+     ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
+     "FormatError", "line 2: expected 'codepoint_hex<TAB>replacement'"),
+    ("cb.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n0041\tC\t2\t0\n",
+     ["encode", "--codebook", "{cb.tsv}"],
+     "IntegrityError", "line 3: U+0041 ('A') is reserved by the wire grammar"),
+    ("cb.tsv", "#strategy=fancy freq_digest=\n",
+     ["encode", "--codebook", "{cb.tsv}"],
+     "ConfigError", "line 1: unknown strategy 'fancy'; expected one of ('basic', 'tokenizer_opt', 'hybrid')"),
+    ("freq.tsv", "#scripts=Tibetan\n3904\tU+0F40\tTibetan\n",
+     ["build-codebook", "--freq", "{freq.tsv}", "--strategy", "basic"],
+     "FormatError", "line 2: expected 4 tab-separated fields"),
+    ("bpe/merges.txt", "a b c\n",
+     ["bpe-merge", "{bpe}", "{bpe}", "-o", "{out}"],
+     "FormatError", "line 1: expected two space-separated symbols"),
+    ("labeled.txt", "__label__bo\tཀ\nhello\n",
+     ["langid-train", "{labeled.txt}", "-o", "{out}"],
+     "FormatError", "line 2: expected '__label__<tag>\\t<text>'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, kind, message", _LOCATED, ids=[c[4][:6] + ":" + c[0] for c in _LOCATED]
+)
+def test_a_loader_error_names_its_file_and_line(files, capsys, name, text, argv, kind, message):
+    path = files(name, text)
+    assert main([str(files.root / a[1:-1]) if a.startswith("{") else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {kind}: {path} {message}\n"
 
 
 # --- CRLF and BOM files load to the same objects as plain LF files -------------

@@ -3,12 +3,13 @@ import random
 import shlex
 import sys
 
+import numpy as np
 import pytest
 
 from translitkit import synth
 from translitkit.codebook import build_basic
 from translitkit.errors import StageError
-from translitkit.langid import TrainingParams, train
+from translitkit.langid import LangIdModel, TrainingParams, train
 from translitkit.pipeline import LOW_RESOURCE_TAGS, Pipeline, PipelineConfig, PipelineTrace
 from translitkit.translit import to_latin
 
@@ -183,7 +184,30 @@ def test_restored_implies_low_resource(identity_pipeline, rng):
         for _ in range(5):
             _, trace = identity_pipeline.process(synth.script_line(rng, tag))
             if trace.restored:
-                assert trace.output_label in ("bo", "mn", "ug")
+                assert trace.output_label in LOW_RESOURCE_TAGS or (
+                    trace.encoded and trace.input_label in LOW_RESOURCE_TAGS
+                )
+
+
+def _always_zh() -> LangIdModel:
+    """An output classifier that labels every text `zh` with confidence near 1."""
+    bias = np.array([10.0 if label == "zh" else 0.0 for label in LABELS])
+    return LangIdModel(list(LABELS), (1, 2), 16, np.zeros((16, len(LABELS))), bias, PARAMS_OUT)
+
+
+@pytest.mark.parametrize("stage", ["identity", "external"])
+def test_an_echoed_line_is_restored_whatever_the_output_classifier_reads(models, rng, stage):
+    cb, input_model, _ = models
+    cat = f"{shlex.quote(sys.executable)} -c \"import sys; sys.stdout.write(sys.stdin.read())\""
+    pl = Pipeline(cb, input_model, _always_zh(), model_stage=stage, model_command=cat)
+    lines = [synth.script_line(rng, tag) for tag in ("bo", "mn", "ug") for _ in range(4)]
+    results = list(pl.batch(lines))
+    encoded = [(line, final, trace) for line, (final, trace) in zip(lines, results) if trace.encoded]
+    assert len(encoded) == len(lines)
+    for line, final, trace in encoded:
+        assert trace.output_label == "zh"
+        assert trace.restored and final == line
+        assert f"classifier disagreement: input {trace.input_label}, output zh" in trace.warnings
 
 
 def test_pinyin_stage_marked_not_restorable(models, rng):

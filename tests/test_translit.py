@@ -8,6 +8,7 @@ from translitkit.errors import DecodeError, FormatError, TranslitError
 from translitkit.kernel import kernel_decode
 from translitkit.translit import (
     MODES,
+    DecodeResult,
     decode,
     decode_lines,
     from_latin,
@@ -17,7 +18,7 @@ from translitkit.translit import (
     verify_roundtrip,
 )
 
-from reference import ref_decode, ref_encode
+from reference import RefDecodeError, ref_decode, ref_encode
 
 CB = build_basic([0x0F40, 0x0F41])  # ཀ -> "B", ཁ -> "C"
 
@@ -271,6 +272,33 @@ def test_kernel_matches_scalar_scan(name, data, default_codebook):
     for mode in MODES:
         assert _outcome(enc, cb, mode) == (text, [])
     assert ref_decode(enc, cb.code_to_char) == text
+
+
+# What strict scan_decode raises for each kind of error the oracle finds, and a
+# word of its message.
+_SCAN_ERRORS = {
+    "unterminated run": (FormatError, "unterminated"),
+    "empty run": (FormatError, "empty"),
+    "stray lowercase": (FormatError, "stray lowercase"),
+    "unknown segment": (DecodeError, "segment"),
+}
+
+
+@pytest.mark.parametrize("name", ["default", "long", "sparse"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strict_scan_agrees_with_the_reference_on_text_and_errors(name, data, default_codebook):
+    cb = {"default": default_codebook, "long": LONG_CB, "sparse": SPARSE_CB}[name]
+    enc = data.draw(_encoded(cb))
+    try:
+        text = ref_decode(enc, cb.code_to_char)
+    except RefDecodeError as ref:
+        cls, word = _SCAN_ERRORS[ref.kind]
+        with pytest.raises(cls, match=word) as raised:
+            scan_decode(enc, cb, "strict")
+        assert raised.value.offset == ref.offset
+    else:
+        assert scan_decode(enc, cb, "strict") == DecodeResult(text, [])
 
 
 NEWLINE_CB = build_basic([0x0F40, 0x0A, 0x0D])  # '\n' -> "C", '\r' -> "D"
