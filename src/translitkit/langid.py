@@ -74,17 +74,21 @@ class LangIdModel:
 _PRIME = np.uint64(31)
 
 
-def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket ids of every character n-gram of `texts`, lo <= n <= hi, each with its text's index.
+def _code_points(texts: Sequence[str]) -> np.ndarray:
+    """The UTF-32 code points of `texts` laid end to end; a lone surrogate is its own value."""
+    return np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.uint64)
 
-    A gram hashes as ``h = h*31 + code point`` over its characters, mod 2**64
-    (numpy's uint64 arithmetic wraps the same way), then mod `buckets`. The
-    code points are UTF-32 units, so a lone surrogate counts as its own value.
-    Ids come by n, then by position in the texts laid end to end; no window
-    crosses from one text into the next. Returns ``(owner, ids)``.
+
+def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np.ndarray, ...]:
+    """Every character n-gram window of `texts`, lo <= n <= hi: ``(owner, ids, start, size)``.
+
+    Per window: its text's index, its bucket id, its start in `_code_points`
+    and its n. A gram hashes as ``h = h*31 + code point`` over its characters,
+    mod 2**64 (numpy's uint64 arithmetic wraps the same way), then mod
+    `buckets`. Windows come by n, then by position in the texts laid end to
+    end; no window crosses from one text into the next.
     """
-    cp = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    cp = cp.astype(np.uint64)
+    cp = _code_points(texts)
     total = cp.size
     many = len(texts) > 1
     if many:
@@ -92,7 +96,7 @@ def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np
         owner = np.repeat(np.arange(len(texts)), lengths)
         # characters from each position to the end of its text, itself included
         room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)
-    owners, ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
+    starts, hashes = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
     h = cp
     for n in range(1, min(hi, total) + 1):
         if n > 1:
@@ -100,48 +104,51 @@ def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np
         if n < lo:
             continue
         if many:
-            fits = room[: h.size] >= n
-            owners.append(owner[: h.size][fits])
-            ids.append(h[fits] % np.uint64(buckets))
+            at = np.flatnonzero(room[: h.size] >= n)
+            starts.append(at)
+            hashes.append(h[at])
         else:
-            owners.append(np.zeros(h.size, dtype=np.intp))
-            ids.append(h % np.uint64(buckets))
-    return np.concatenate(owners), np.concatenate(ids).astype(np.intp)
+            starts.append(np.arange(h.size))
+            hashes.append(h)
+    start = np.concatenate(starts)
+    # starts[0] is the empty seed, so starts[j] holds the windows of n = lo - 1 + j. The
+    # smallest dtype that holds hi keeps this array from slowing `predict_many`, which ignores it.
+    n_of = np.arange(lo - 1, lo - 1 + len(starts), dtype=np.min_scalar_type(hi))
+    size = np.repeat(n_of, [at.size for at in starts])
+    owner = owner[start] if many else np.zeros(start.size, dtype=np.intp)
+    return owner, (np.concatenate(hashes) % np.uint64(buckets)).astype(np.intp), start, size
 
 
-def _gram_buckets(grams: Iterable[str], buckets: int) -> dict[str, int]:
-    """The bucket id of each gram, hashed whole."""
-    by_size: dict[int, list[str]] = {}
-    for g in grams:
-        by_size.setdefault(len(g), []).append(g)
-    out: dict[str, int] = {}
-    for size, same in by_size.items():
-        _, ids = _featurize(same, size, size, buckets)  # one window per gram
-        out.update(zip(same, ids.tolist()))
-    return out
+def _features(texts: Sequence[str], lo: int, hi: int, min_count: int, buckets: int) -> list[tuple]:
+    """Per text, ``(ids, counts)``: the buckets of its windows whose gram occurs
+    `min_count` times or more in all of `texts`, by first window (n, then position).
 
-
-def _ngram_counts(text: str, lo: int, hi: int) -> Counter[str]:
-    grams: Counter[str] = Counter()
-    n = len(text)
-    for size in range(lo, hi + 1):
-        if size > n:
-            break
-        for i in range(n - size + 1):
-            grams[text[i : i + size]] += 1
-    return grams
-
-
-def _feature_arrays(grams: Counter[str], bucket_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket ids and summed counts of the grams `bucket_of` keeps, in first-seen order."""
-    agg: Counter[int] = Counter()
-    for g, c in grams.items():
-        b = bucket_of.get(g)
-        if b is not None:
-            agg[b] += c
-    idx = np.fromiter(agg.keys(), dtype=np.int64, count=len(agg))
-    cnt = np.fromiter(agg.values(), dtype=np.float64, count=len(agg))
-    return idx, cnt
+    The hash is not injective, so a gram is told by its code points: code point
+    i of a window, plus one (a NUL is not an absent character), sits in bits
+    21*(i % 3) of uint64 column i // 3. ``text * buckets + bucket`` fits in
+    int64 because `train` has allocated its `buckets`-row weight matrix first.
+    """
+    owner, ids, start, size = _featurize(texts, lo, hi, buckets)
+    cp, cols = _code_points(texts), np.zeros(((hi + 2) // 3, ids.size), dtype=np.uint64)
+    for i in range(hi):
+        longer = np.searchsorted(size, i + 1)  # windows come by n, so those of size > i are a tail
+        cols[i // 3, longer:] |= (cp[start[longer:] + i] + np.uint64(1)) << np.uint64(21 * (i % 3))
+    del cp, start, size  # freed before each sort, where the memory peaks
+    order = np.lexsort(cols) if len(cols) > 1 else np.argsort(cols[0])  # any order that groups equal grams
+    edges = np.ones(order.size + 1, dtype=bool)  # where a run of equal grams starts, and the end
+    edges[1:-1] = np.any([np.diff(col[order]) != 0 for col in cols], axis=0)
+    del cols
+    runs = np.diff(np.flatnonzero(edges))
+    kept = np.empty(order.size, dtype=bool)
+    kept[order] = np.repeat(runs >= min_count, runs)
+    del order, edges, runs
+    # A text's windows keep their order, so each key's first window is its first-seen one.
+    keys, first, counts = np.unique(owner[kept] * buckets + ids[kept], return_index=True, return_counts=True)
+    seen = np.lexsort((first, keys // buckets))
+    text, idx = np.divmod(keys[seen], buckets)
+    bounds = np.searchsorted(text, np.arange(len(texts) + 1)).tolist()
+    counts = counts[seen].astype(np.float64)
+    return [(idx[a:b], counts[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_params(params: TrainingParams, hash_buckets: int) -> None:
@@ -168,7 +175,7 @@ def train(
     """SGD over examples in the given order; deterministic for fixed inputs.
 
     N-grams occurring fewer than `min_count` times in the whole corpus are
-    dropped before hashing. Parameters out of range are a TrainingError.
+    dropped. Bad parameters and an impossible weight matrix are a TrainingError.
     """
     params = params or TrainingParams()
     _check_params(params, hash_buckets)
@@ -181,21 +188,6 @@ def train(
     if stray:
         raise TrainingError(f"examples carry labels outside the label set: {sorted(stray)}")
     lo, hi = params.ngram_range
-
-    gram_totals: Counter[str] = Counter()
-    per_example: list[Counter[str]] = []
-    for text, _ in data:
-        grams = _ngram_counts(text, lo, hi)
-        per_example.append(grams)
-        gram_totals.update(grams)
-    kept = _gram_buckets((g for g, c in gram_totals.items() if c >= params.min_count), hash_buckets)
-
-    label_idx = {lab: i for i, lab in enumerate(label_list)}
-    feats = [
-        (*_feature_arrays(grams, kept), label_idx[lab])
-        for grams, (_, lab) in zip(per_example, data)
-    ]
-
     n_labels = len(label_list)
     try:
         weights = np.zeros((hash_buckets, n_labels))
@@ -204,6 +196,9 @@ def train(
             f"cannot allocate the weight matrix of {hash_buckets} buckets x {n_labels} labels"
             f" ({hash_buckets * n_labels * 8:,} bytes)"
         ) from None
+    label_idx = {lab: i for i, lab in enumerate(label_list)}
+    per_text = _features([text for text, _ in data], lo, hi, params.min_count, hash_buckets)
+    feats = [(idx, cnt, label_idx[lab]) for (idx, cnt), (_, lab) in zip(per_text, data)]
     bias = np.zeros(n_labels)
     lr = params.learning_rate
     for _ in range(params.epochs):
@@ -232,7 +227,7 @@ def predict_many(texts: Sequence[str], model: LangIdModel) -> list[Prediction]:
     labels = model.labels
     if not texts:
         return []
-    owner, ids = _featurize(texts, *model.ngram_range, model.hash_buckets)
+    owner, ids, _, _ = _featurize(texts, *model.ngram_range, model.hash_buckets)
     rows = np.take(model.weights, ids, axis=0)
     if len(texts) == 1:
         scores = rows.sum(axis=0, keepdims=True)
@@ -322,8 +317,9 @@ def load_model(path: str) -> LangIdModel:
             params = TrainingParams(**tp)
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise FormatError(f"{path}: bad header: {exc}") from exc
-        if buckets <= 0 or not labels:
-            raise FormatError(f"{path}: bad header: {buckets} buckets, {len(labels)} labels")
+        if buckets <= 0 or not labels or not 1 <= lo <= hi:  # as train requires
+            shape = f"{buckets} buckets, {len(labels)} labels, ngram_range {[lo, hi]}"
+            raise FormatError(f"{path}: bad header: {shape}")
         payload_size = 8 * (buckets + 1) * len(labels)
         if file_size - fh.tell() != payload_size:
             raise FormatError(

@@ -2,7 +2,8 @@
 output, restore script.
 
 The model stage is pluggable: `identity` for testing/measurement, or an
-external command taking UTF-8 text on stdin and answering on stdout (exit 0).
+external command taking UTF-8 text on stdin and answering one line on stdout
+(exit 0).
 Below the confidence threshold text passes through unmodified (fail-open).
 """
 
@@ -130,8 +131,11 @@ class Pipeline:
             out = proc.stdout.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise StageError(f"model command produced invalid UTF-8 at byte {exc.start}") from exc
-        # Line filters customarily append one newline; our contract is newline-free.
-        return out[:-1] if out.endswith("\n") else out
+        # Line filters customarily append one newline; our contract is one newline-free line.
+        out = out[:-1] if out.endswith("\n") else out
+        if "\n" in out:
+            raise StageError("model command replied with more than one line")
+        return out
 
     def _route(self, text: str, pred_in: langid.Prediction) -> tuple[PipelineTrace, str]:
         """Encode `text` as its input label asks and run the model stage on it.

@@ -7,13 +7,17 @@ applier rescans the rule list from the top after every application. The BPE
 trainer recounts every pair of every word before each merge, and the
 tokenizer-optimized codebook oracle tokenizes every code of the profile. The
 language-id oracle hashes each n-gram one character at a time and scores one
-text at a time in plain floats.
+text at a time in plain floats; its training features count each text's gram
+strings in a `Counter`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+
+import numpy as np
 
 
 def ref_encode(text: str, char_to_code: dict[int, str]) -> str:
@@ -222,6 +226,34 @@ def ref_ngram_ids(texts: list[str], lo: int, hi: int, buckets: int) -> list[tupl
         for t, text in enumerate(texts)
         for i in range(len(text) - n + 1)
     ]
+
+
+def ref_train_features(
+    texts: list[str], lo: int, hi: int, min_count: int, buckets: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per text, the buckets of its grams seen `min_count` times or more in all of
+    `texts`, with their summed counts, in first-seen order (by n, then position).
+
+    Grams are identified by their strings, and only the kept ones are hashed.
+    """
+    per_text = []
+    totals: Counter[str] = Counter()
+    for text in texts:
+        grams: Counter[str] = Counter(
+            text[i : i + n] for n in range(lo, hi + 1) for i in range(len(text) - n + 1)
+        )
+        per_text.append(grams)
+        totals.update(grams)
+    out = []
+    for grams in per_text:
+        agg: Counter[int] = Counter()
+        for g, c in grams.items():
+            if totals[g] >= min_count:
+                agg[ref_bucket(g, buckets)] += c
+        idx = np.fromiter(agg.keys(), dtype=np.int64, count=len(agg))
+        cnt = np.fromiter(agg.values(), dtype=np.float64, count=len(agg))
+        out.append((idx, cnt))
+    return out
 
 
 def ref_predict(text: str, model) -> tuple[str, dict[str, float]]:

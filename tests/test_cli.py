@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import random
+import shlex
 import sys
 from unittest import mock
 
@@ -249,6 +250,26 @@ def test_pipeline_cli_identity(workspace, capsys, monkeypatch):
     traces = [json.loads(line) for line in captured.err.splitlines() if line.startswith("{")]
     assert len(traces) == len(sample)
     assert all(t["error"] is None for t in traces)
+
+
+def test_pipeline_cli_a_multi_line_stage_reply_fails_only_its_line(workspace, capsys):
+    root, _, lines = workspace
+    split = "import sys; print(sys.stdin.read().replace('|', chr(10)))"
+    cfg = root / "pipeline-split.cfg"
+    cfg.write_text(
+        "codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\nmodel_stage = external\n"
+        f"model_command = {shlex.quote(sys.executable)} -c {shlex.quote(split)}\n",
+        encoding="utf-8",
+    )
+    texts = lines[:3] + ["two|lines"] + lines[3:6]
+    data = "".join(text + "\n" for text in texts)
+    code, out = _pipe(["pipeline", "--config", str(cfg), "--trace"], data.encode("utf-8"))
+    assert code == 0
+    # one output line per input line; the failed line comes back as it went in
+    assert out.decode("utf-8") == data
+    traces = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    errors = [trace["error"] for trace in traces]
+    assert errors == [None] * 3 + ["StageError: model command replied with more than one line"] + [None] * 3
 
 
 def test_encode_with_lossy_transform(workspace, tmp_path, capsys, monkeypatch):

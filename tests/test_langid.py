@@ -8,12 +8,13 @@ import struct
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ref_ngram_ids, ref_predict
+from reference import ref_ngram_ids, ref_predict, ref_train_features
 import translitkit
 from translitkit import langid, synth
 from translitkit.cli import main
@@ -291,7 +292,10 @@ def test_load_accepts_headers_that_record_dim_and_window(tmp_path, toy_model):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("ngram_range", [3]), ("ngram_range", [1, 2, 3]), ("hash_buckets", float("inf")), ("training_params", [])],
+    [
+        ("ngram_range", [3]), ("ngram_range", [1, 2, 3]), ("hash_buckets", float("inf")), ("training_params", []),
+        ("ngram_range", [3, 1]), ("ngram_range", [0, 0]), ("ngram_range", [-2, -1]),
+    ],
 )
 def test_detect_on_a_bad_header_value_exits_2(tmp_path, toy_model, capsys, key, value):
     path = str(tmp_path / "model.lid")
@@ -396,8 +400,12 @@ _BUCKETS = st.one_of(st.sampled_from([1, 2, 3, 1000, 65537, 1 << 20]), st.intege
 )
 def test_featurize_matches_scalar_hash(texts, lo, span, buckets):
     hi = min(lo + span, 6)
-    owner, ids = langid._featurize(texts, lo, hi, buckets)
+    owner, ids, start, size = langid._featurize(texts, lo, hi, buckets)
     assert list(zip(owner.tolist(), ids.tolist())) == ref_ngram_ids(texts, lo, hi, buckets)
+    offsets = [sum(map(len, texts[:t])) for t in range(len(texts))]
+    assert list(zip(start.tolist(), size.tolist())) == [
+        (offsets[t] + i, n) for n in range(lo, hi + 1) for t, text in enumerate(texts) for i in range(len(text) - n + 1)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -431,8 +439,31 @@ def test_predict_is_a_batch_of_one(script_model):
     assert predict_many([], script_model) == []
 
 
-def test_train_hashes_kept_grams_like_the_featurizer():
-    grams = ["ab", "a", "\U0001F600x", "\ud800", "xyzzy"]
-    assert langid._gram_buckets(grams, 1000) == {
-        g: ref_ngram_ids([g], len(g), len(g), 1000)[0][1] for g in grams
-    }
+# A small alphabet next to the wide one, so that grams repeat and min_count bites.
+_TRAIN_CHARS = st.one_of(_GRAM_CHARS, st.sampled_from("ab\x00\U0001F600\ud800"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    examples=st.lists(
+        st.tuples(st.text(_TRAIN_CHARS, max_size=12), st.sampled_from(["x", "y"])), min_size=2, max_size=8
+    ).filter(lambda ex: len({lab for _, lab in ex}) == 2),
+    lo=st.integers(1, 6),
+    span=st.integers(0, 5),
+    min_count=st.integers(1, 5),
+    buckets=st.one_of(st.sampled_from([1, 2, 3, 1000, 65537]), st.integers(1, 1 << 16)),
+)
+def test_train_features_match_the_counter_oracle(tmp_path_factory, examples, lo, span, min_count, buckets):
+    hi = min(lo + span, 6)
+    texts = [text for text, _ in examples]
+    got = langid._features(texts, lo, hi, min_count, buckets)
+    want = ref_train_features(texts, lo, hi, min_count, buckets)
+    assert [(idx.tolist(), cnt.tolist()) for idx, cnt in got] == [
+        (idx.tolist(), cnt.tolist()) for idx, cnt in want
+    ]
+    params = TrainingParams(epochs=2, ngram_range=(lo, hi), min_count=min_count)
+    out = tmp_path_factory.mktemp("lid")
+    save_model(train(examples, params, hash_buckets=buckets), str(out / "got.lid"))
+    with mock.patch.object(langid, "_features", ref_train_features):
+        save_model(train(examples, params, hash_buckets=buckets), str(out / "want.lid"))
+    assert (out / "got.lid").read_bytes() == (out / "want.lid").read_bytes()
