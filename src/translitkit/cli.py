@@ -16,8 +16,7 @@ import logging
 import sys
 from typing import Callable, Iterable, Iterator
 
-from . import __version__, bpe, codebook, config, freqanalysis, metrics, textio, translit
-from .codespace import DEFAULT_PROFILE
+from . import __version__, codebook, textio, translit
 from .errors import TranslitError
 
 log = logging.getLogger("translitkit")
@@ -70,7 +69,13 @@ def _per_line(fn: Callable[[str], str]) -> Callable[[str, int], Iterator[str]]:
     return lambda block, _: (fn(text) + end for text, end in textio.split_lines(block))
 
 
+# Each command imports in its body the modules that not every command runs, so
+# that `--version` and the filters start without the build-side modules.
+
+
 def cmd_analyze(args) -> int:
+    from . import config, freqanalysis
+
     ranges = config.load_ranges(args.ranges) if args.ranges else freqanalysis.DEFAULT_SCRIPT_RANGES
     table = freqanalysis.scan_file(args.corpus, ranges)
     with _open_out(args.out) as out:
@@ -80,6 +85,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_codebook(args) -> int:
+    from . import config, freqanalysis
+    from .codespace import DEFAULT_PROFILE
+
     with open(args.freq, "rb") as fh:
         table = freqanalysis.read_tsv(fh, args.freq)
     scripts = [s for s in args.scripts.split(",") if s] if args.scripts else None
@@ -91,6 +99,8 @@ def cmd_build_codebook(args) -> int:
     else:
         if not args.bpe:
             raise _Usage(f"--strategy {args.strategy} requires --bpe <dir>")
+        from . import bpe
+
         model = bpe.load_model(args.bpe)
         if args.strategy == "tokenizer":
             cb = codebook.build_tokenizer_optimized(chars, profile, model, digest)
@@ -152,6 +162,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import bpe, metrics
+
     model = bpe.load_model(args.bpe)
     files = [list(textio.read_file(path)) for path in (args.original, args.encoded)]
     # Each line end counts as one byte, CRLF too; terminators are not tokens.
@@ -173,6 +185,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bpe_train(args) -> int:
+    if args.vocab_size < 1:  # checked before the corpus is read
+        raise _Usage(f"argument --vocab-size: must be at least 1, got {args.vocab_size}")
+    from . import bpe
+
     model = bpe.train((text for text, _ in textio.read_file(args.corpus)), args.vocab_size)
     bpe.save_model(model, args.out)
     log.info("trained BPE model: %d tokens, %d merges -> %s", len(model.vocab), len(model.merges), args.out)
@@ -180,6 +196,8 @@ def cmd_bpe_train(args) -> int:
 
 
 def cmd_bpe_merge(args) -> int:
+    from . import bpe
+
     base = bpe.load_model(args.base)
     extra = bpe.load_model(args.extra)
     merged = bpe.merge_vocab(base, extra)
@@ -191,7 +209,7 @@ def cmd_bpe_merge(args) -> int:
 
 
 def cmd_langid_train(args) -> int:
-    from . import langid
+    from . import config, langid
 
     examples = langid.read_labeled(args.labeled)
     if args.params:
@@ -221,6 +239,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from . import config
     from .pipeline import Pipeline
 
     cfg = config.load_pipeline_config(args.config)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import IO, BinaryIO, Iterable
+from typing import IO, TYPE_CHECKING, BinaryIO, Iterable
 
 from . import textio
-from .bpe import BpeModel
 from .codespace import CodeSpaceProfile, DEFAULT_PROFILE, enumerate_codes, is_valid_code
 from .errors import CapacityError, ConfigError, FormatError, IntegrityError
+
+if TYPE_CHECKING:  # the model is passed in; encode and decode never load bpe
+    from .bpe import BpeModel
 
 STRATEGIES = ("basic", "tokenizer_opt", "hybrid")
 

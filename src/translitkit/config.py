@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING
 from . import textio
 from .codespace import UPPER, CodeSpaceProfile
 from .errors import ConfigError
-from .freqanalysis import ScriptRange
 
-if TYPE_CHECKING:  # imported where used: both modules load numpy
+if TYPE_CHECKING:  # each is imported by the one loader that uses it
+    from .freqanalysis import ScriptRange
     from .langid import TrainingParams
     from .pipeline import PipelineConfig
 
@@ -117,6 +117,8 @@ def _parse_interval(part: str, path: str) -> tuple[int, int]:
 
 def load_ranges(path: str) -> list[ScriptRange]:
     """One key per script; values are comma-separated hex intervals like 0F00-0FFF."""
+    from .freqanalysis import ScriptRange
+
     pairs = load_kv(path)
     if not pairs:
         raise ConfigError(f"{path}: no script ranges defined")

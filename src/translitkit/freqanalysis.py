@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable
@@ -60,6 +59,8 @@ class FrequencyTable:
 
     def digest(self) -> str:
         """Short checksum over the (code point, count) pairs; order-independent."""
+        import hashlib  # only the codebook build asks for a digest
+
         blob = "\n".join(f"{cp}:{n}" for cp, n in sorted(self.counts.items()))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 

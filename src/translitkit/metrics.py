@@ -9,10 +9,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .bpe import BpeModel
 from .errors import ComputationError
+
+if TYPE_CHECKING:
+    from .bpe import BpeModel
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import subprocess
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -117,6 +116,8 @@ class Pipeline:
     def _run_stage(self, text: str) -> str:
         if self.model_stage == "identity":
             return text
+        import subprocess  # only the external stage starts a process
+
         proc = subprocess.run(
             self.model_command,
             shell=True,

@@ -8,7 +8,8 @@ trainer recounts every pair of every word before each merge, and the
 tokenizer-optimized codebook oracle tokenizes every code of the profile. The
 language-id oracle hashes each n-gram one character at a time and scores one
 text at a time in plain floats; its training features count each text's gram
-strings in a `Counter`.
+strings in a `Counter`, and its trainer gathers an example's weight rows once
+for the scores and again for the update.
 """
 
 from __future__ import annotations
@@ -254,6 +255,34 @@ def ref_train_features(
         cnt = np.fromiter(agg.values(), dtype=np.float64, count=len(agg))
         out.append((idx, cnt))
     return out
+
+
+def ref_train(examples: list[tuple[str, str]], params, buckets: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Labels, weights and bias of SGD over `ref_train_features`, examples in order.
+
+    Each step gathers the example's rows for its scores, then subtracts
+    ``lr * count * gradient`` from them in place through a second gather.
+    """
+    labels = sorted({lab for _, lab in examples})
+    lo, hi = params.ngram_range
+    feats = ref_train_features([text for text, _ in examples], lo, hi, params.min_count, buckets)
+    weights = np.zeros((buckets, len(labels)))
+    bias = np.zeros(len(labels))
+    lr = params.learning_rate
+    for _ in range(params.epochs):
+        for (idx, cnt), (_, lab) in zip(feats, examples):
+            if idx.size:
+                scores = bias + cnt @ weights[idx]
+            else:
+                scores = bias.copy()
+            scores -= scores.max()
+            p = np.exp(scores)
+            p /= p.sum()
+            p[labels.index(lab)] -= 1.0
+            if idx.size:
+                weights[idx] -= lr * cnt[:, None] * p
+            bias -= lr * p
+    return labels, weights, bias
 
 
 def ref_predict(text: str, model) -> tuple[str, dict[str, float]]:

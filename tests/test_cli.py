@@ -105,6 +105,15 @@ def test_usage_errors_exit_1(capsys):
     assert "error: usage:" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_bpe_train_vocab_size_below_1_is_a_usage_error(tmp_path, capsys, size):
+    # The corpus does not exist: the check comes before it is read.
+    out = tmp_path / "bpe"
+    assert main(["bpe-train", str(tmp_path / "missing.txt"), "--vocab-size", size, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: usage: argument --vocab-size: must be at least 1, got {size}\n"
+    assert not out.exists()
+
+
 def test_log_level_is_checked_as_a_usage_error(capsys):
     assert main(["--log-level", "foo", "--version"]) == 1
     assert capsys.readouterr().err.startswith("error: usage: argument --log-level: invalid choice: 'foo'")

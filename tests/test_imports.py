@@ -1,12 +1,12 @@
 """Each CLI command imports only what it runs; the package's public names resolve lazily.
 
-numpy costs about as much start-up time as the rest of a command, so only the
-commands that reach a vectorized kernel may load it. These tests run the real
-CLI in a fresh interpreter and read `sys.modules` after it.
+Every process pays for each module it imports, and numpy costs about as much
+start-up time as the rest of a command, so a command loads only the modules
+it calls. These tests run the real CLI in a fresh interpreter and read
+`sys.modules` after it.
 """
 
 import importlib
-import json
 import os
 import pkgutil
 import random
@@ -22,14 +22,19 @@ from translitkit import codebook, langid, synth, translit
 from translitkit.cli import main
 
 SRC = str(Path(translitkit.__file__).resolve().parent.parent)
-HEAVY = ("numpy", "translitkit.langid")
+# The standard-library modules the table watches besides translitkit's own.
+WATCHED = ("hashlib", "json", "numpy", "subprocess")
 
-# Runs the CLI on argv and writes which of HEAVY it left loaded as the last line of stderr.
+# Runs the CLI on argv and writes, as the last line of stderr, the watched
+# modules and translitkit's submodules (without the package prefix) it left loaded.
 PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "from translitkit import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    f"print(json.dumps({{name: name in sys.modules for name in {HEAVY!r}}}), file=sys.stderr)\n"
+    f"watched = {WATCHED!r}\n"
+    "loaded = [m.removeprefix('translitkit.') for m in sys.modules\n"
+    "          if m.startswith('translitkit.') or m in watched]\n"
+    "print(' '.join(sorted(loaded)), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -48,6 +53,17 @@ def files(tmp_path_factory):
     examples = [("ཀཁག", "bo"), ("hello there", "other")] * 4
     params = langid.TrainingParams(epochs=1, min_count=1)
     langid.save_model(langid.train(examples, params, hash_buckets=256), str(root / "m.lid"))
+    configs = {
+        "labeled.txt": "".join(f"__label__{label}\t{text}\n" for text, label in examples),
+        "params.cfg": "preset = input\nepochs = 1\nmin_count = 1\nhash_buckets = 256\n",
+        "ranges.cfg": "Tibetan = 0F00-0FFF\nMongolian = 1800-18AF\n",
+        "profile.cfg": "max_len = 3\n",
+        "identity.cfg": "codebook = cb.tsv\ninput_model = m.lid\noutput_model = m.lid\n",
+        "external.cfg": "codebook = cb.tsv\ninput_model = m.lid\noutput_model = m.lid\n"
+                        "model_stage = external\nmodel_command = cat\n",
+    }
+    for name, text in configs.items():
+        (root / name).write_text(text, encoding="utf-8")
     return root
 
 
@@ -66,40 +82,61 @@ def _python(script: str, argv: list[str] | tuple = (), stdin: str = "", cwd: Pat
     return err
 
 
-def _loaded(root: Path, argv: list[str], stdin: str = "") -> dict[str, bool]:
-    return json.loads(_python(PROBE, argv, stdin, root).splitlines()[-1])
-
-
+# Every command loads these: `cli` itself, and its parser needs `translit.MODES`.
+BASE = {"cli", "codebook", "codespace", "errors", "textio", "translit"}
 BUILD = ["build-codebook", "--freq", "freq.tsv", "--scripts", "Tibetan,Mongolian,Uyghur"]
-LIGHT_COMMANDS = {
-    "version": ["--version"],
-    "encode": ["encode", "--codebook", "cb.tsv"],
-    "analyze": ["analyze", "corpus.txt", "-o", "freq2.tsv"],
-    "build-basic": [*BUILD, "--strategy", "basic", "-o", "cb2.tsv"],
-    "build-tokenizer": [*BUILD, "--strategy", "tokenizer", "--bpe", "bpe", "-o", "cb3.tsv"],
-    "bpe-train": ["bpe-train", "encoded.txt", "--vocab-size", "200", "-o", "bpe2"],
-    "stats": ["stats", "corpus.txt", "encoded.txt", "--bpe", "bpe"],
+# Command -> (argv, the modules it loads besides BASE). `bpe` loads for a
+# codebook build only with a tokenizer, `hashlib` only for the codebook digest
+# and `subprocess` only for the external model stage.
+COMMANDS = {
+    "version": (["--version"], set()),
+    "encode": (["encode", "--codebook", "cb.tsv"], set()),
+    "decode": (["decode", "--codebook", "cb.tsv"], {"kernel", "numpy"}),
+    "verify": (["verify", "corpus.txt", "--codebook", "cb.tsv"], {"kernel", "numpy"}),
+    "analyze": (
+        ["analyze", "corpus.txt", "--ranges", "ranges.cfg", "-o", "freq2.tsv"], {"freqanalysis", "config"}
+    ),
+    "build-basic": (
+        [*BUILD, "--strategy", "basic", "--profile", "profile.cfg", "-o", "cb2.tsv"],
+        {"config", "freqanalysis", "hashlib"},
+    ),
+    "build-tokenizer": (
+        [*BUILD, "--strategy", "tokenizer", "--bpe", "bpe", "-o", "cb3.tsv"],
+        {"config", "freqanalysis", "hashlib", "bpe"},
+    ),
+    "bpe-train": (["bpe-train", "encoded.txt", "--vocab-size", "200", "-o", "bpe2"], {"bpe"}),
+    "bpe-merge": (["bpe-merge", "bpe", "bpe", "-o", "bpe3"], {"bpe"}),
+    "stats": (["stats", "corpus.txt", "encoded.txt", "--bpe", "bpe"], {"bpe", "metrics", "json"}),
+    "langid-train": (
+        ["langid-train", "labeled.txt", "--params", "params.cfg", "-o", "m2.lid"],
+        {"config", "langid", "numpy", "json"},
+    ),
+    "detect": (["detect", "--model", "m.lid", "ཀཁ"], {"langid", "numpy", "json"}),
+    "pipeline": (
+        ["pipeline", "--config", "identity.cfg"],
+        {"config", "pipeline", "langid", "kernel", "numpy", "json"},
+    ),
+    "pipeline-external": (
+        ["pipeline", "--config", "external.cfg"],
+        {"config", "pipeline", "langid", "kernel", "numpy", "json", "subprocess"},
+    ),
 }
 
 
-@pytest.mark.parametrize("name", LIGHT_COMMANDS)
+def _loaded(root: Path, name: str) -> set[str]:
+    argv, _ = COMMANDS[name]
+    stdin = (root / ("encoded.txt" if name == "decode" else "corpus.txt")).read_text(encoding="utf-8")
+    return set(_python(PROBE, argv, stdin, root).splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("name", [name for name, (_, extra) in COMMANDS.items() if "numpy" not in extra])
 def test_commands_without_a_kernel_do_not_load_numpy(files, name):
-    stdin = (files / "corpus.txt").read_text(encoding="utf-8")
-    assert _loaded(files, LIGHT_COMMANDS[name], stdin) == dict.fromkeys(HEAVY, False)
+    assert _loaded(files, name) == BASE | COMMANDS[name][1]
 
 
-@pytest.mark.parametrize(
-    "argv, langid_loaded",
-    [
-        (["decode", "--codebook", "cb.tsv"], False),
-        (["verify", "corpus.txt", "--codebook", "cb.tsv"], False),
-        (["detect", "--model", "m.lid", "ཀཁ"], True),
-    ],
-    ids=["decode", "verify", "detect"],
-)
-def test_commands_with_a_kernel_load_numpy(files, argv, langid_loaded):
-    stdin = (files / "encoded.txt").read_text(encoding="utf-8")
-    assert _loaded(files, argv, stdin) == {"numpy": True, "translitkit.langid": langid_loaded}
+@pytest.mark.parametrize("name", [name for name, (_, extra) in COMMANDS.items() if "numpy" in extra])
+def test_commands_with_a_kernel_load_numpy(files, name):
+    assert _loaded(files, name) == BASE | COMMANDS[name][1]
 
 
 # --- the lazy public API ------------------------------------------------------

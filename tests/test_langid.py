@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ref_ngram_ids, ref_predict, ref_train_features
+from reference import ref_ngram_ids, ref_predict, ref_train, ref_train_features
 import translitkit
 from translitkit import langid, synth
 from translitkit.cli import main
@@ -466,4 +466,23 @@ def test_train_features_match_the_counter_oracle(tmp_path_factory, examples, lo,
     save_model(train(examples, params, hash_buckets=buckets), str(out / "got.lid"))
     with mock.patch.object(langid, "_features", ref_train_features):
         save_model(train(examples, params, hash_buckets=buckets), str(out / "want.lid"))
+    assert (out / "got.lid").read_bytes() == (out / "want.lid").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    examples=st.lists(
+        st.tuples(st.text(_TRAIN_CHARS, max_size=12), st.sampled_from(["x", "y", "z"])), min_size=2, max_size=10
+    ).filter(lambda ex: len({lab for _, lab in ex}) >= 2),
+    preset=st.sampled_from([TrainingParams.input_defaults(), TrainingParams.output_defaults()]),
+    epochs=st.integers(1, 3),
+    min_count=st.integers(1, 3),
+    buckets=st.integers(1, 64),
+)
+def test_train_matches_the_sgd_oracle(tmp_path_factory, examples, preset, epochs, min_count, buckets):
+    params = dataclasses.replace(preset, epochs=epochs, min_count=min_count)
+    labels, weights, bias = ref_train(examples, params, buckets)
+    out = tmp_path_factory.mktemp("sgd")
+    save_model(train(examples, params, hash_buckets=buckets), str(out / "got.lid"))
+    save_model(LangIdModel(labels, params.ngram_range, buckets, weights, bias, params), str(out / "want.lid"))
     assert (out / "got.lid").read_bytes() == (out / "want.lid").read_bytes()
