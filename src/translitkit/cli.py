@@ -64,11 +64,6 @@ def _filter(fn: Callable[[str, int], Iterable[str]]) -> None:
     sys.stdout.flush()
 
 
-def _per_line(fn: Callable[[str], str]) -> Callable[[str, int], Iterator[str]]:
-    """A block function applying `fn` to each line's text; terminators are kept."""
-    return lambda block, _: (fn(text) + end for text, end in textio.split_lines(block))
-
-
 # Each command imports in its body the modules that not every command runs, so
 # that `--version` and the filters start without the build-side modules.
 
@@ -117,7 +112,12 @@ def cmd_encode(args) -> int:
     transform = codebook.load_transform(args.transform) if args.transform else None
     if transform:
         log.warning("transform attached: transformed characters are not restorable")
-    _filter(_per_line(translit.translator(cb, transform)))
+    encode = translit.translator(cb, transform)
+    if encode("\n") == "\n" and encode("\r") == "\r":
+        # Line ends pass through, so a block encodes to its lines' encodings.
+        _filter(lambda block, _: [encode(block)])
+    else:  # the text of each line alone; a "\r" before "\n" is its terminator
+        _filter(lambda block, _: (encode(text) + end for text, end in textio.split_lines(block)))
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ if TYPE_CHECKING:  # the model is passed in; encode and decode never load bpe
 STRATEGIES = ("basic", "tokenizer_opt", "hybrid")
 
 _BYTE_TOKEN = re.compile(r"<0x([0-9A-F]{2})>")  # a byte-fallback token
-_RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
+#: The code points the wire grammar keeps for codes and runs: ASCII letters and '@'.
+RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
 
 
 def _reserved(cp: int) -> str:
@@ -44,7 +45,9 @@ class Codebook:
     char_to_code: dict[int, str] = field(init=False, repr=False)
     code_to_char: dict[str, int] = field(init=False, repr=False)
     code_to_text: dict[str, str] = field(init=False, repr=False)
-    # The decode kernel's lookup table; `kernel` builds it on first use.
+    # The encoder's and the decode kernel's lookup tables; `translit.translator`
+    # and `kernel` build them on first use.
+    encode_table: object = field(default=None, init=False, repr=False)
     kernel_table: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -55,7 +58,7 @@ class Codebook:
         for e in self.entries:
             if not is_valid_code(e.code):
                 raise FormatError(f"invalid code {e.code!r} for U+{e.codepoint:04X}")
-            if e.codepoint in _RESERVED:
+            if e.codepoint in RESERVED:
                 raise IntegrityError(_reserved(e.codepoint))
             if e.codepoint in c2l:
                 raise IntegrityError(f"duplicate character U+{e.codepoint:04X}")
@@ -227,7 +230,7 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
         code = cols[1]
         if not is_valid_code(code):
             raise FormatError(f"{name} line {lineno}: invalid code {code!r}")
-        if cp in _RESERVED:
+        if cp in RESERVED:
             raise IntegrityError(f"{name} line {lineno}: {_reserved(cp)}")
         if cp in seen_chars:
             raise IntegrityError(
@@ -269,6 +272,8 @@ def load_transform(path: str) -> dict[int, str]:
             cp = int(cols[0], 16)
         except ValueError as exc:
             raise FormatError(f"{path} line {lineno}: {exc}") from exc
+        if not 0 <= cp <= 0x10FFFF:
+            raise FormatError(f"{path} line {lineno}: code point {cols[0]!r} out of range")
         if cp in table:
             raise IntegrityError(f"{path} line {lineno}: duplicate codepoint U+{cp:04X}")
         table[cp] = cols[1]

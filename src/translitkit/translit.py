@@ -10,8 +10,11 @@ Wire grammar of encoded text:
 
 Every code starts with its only uppercase letter, so uppercase letters delimit
 code segments and greedy longest-match decoding is exact. The encoding is a
-total, injective function; decoding it is a single left-to-right pass, which
-a vectorized kernel makes over a whole block of lines at once.
+total, injective function. Encoding a string takes four C-level calls and no
+Python loop: double every '@', split at the runs, join the parts with '@', and
+`str.translate` through a table indexed by code point. Decoding is a single
+left-to-right pass, which a vectorized kernel makes over a whole block of lines
+at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .codebook import Codebook
+from .codebook import RESERVED, Codebook
 from .errors import DecodeError, FormatError, TranslitError
 from .textio import BLOCK_SIZE
 
@@ -51,28 +54,42 @@ class RoundtripReport:
     first_failure_offset: int | None  # 0-based line offset of the first failing line
 
 
+def _code_point_table(mapping: Mapping[int, str]) -> list[int | str] | Mapping[int, str]:
+    """`mapping` as a `str.translate` table: a list indexed by code point, or `mapping` itself.
+
+    Unmapped slots hold their own code point, and `translate` leaves a
+    character past the end alone. A key that is negative or astral keeps the
+    dict, since a list up to U+10FFFF would take some 45 MB.
+    """
+    if not mapping or min(mapping) < 0 or max(mapping) >= 0x10000:
+        return mapping
+    table: list[int | str] = list(range(max(mapping) + 1))
+    for cp, replacement in mapping.items():
+        table[cp] = replacement
+    return table
+
+
 def translator(cb: Codebook, transform: Mapping[int, str] | None = None) -> Callable[[str], str]:
     """Bind a codebook (plus an optional lossy transform) into a reusable encoder.
 
-    Transform entries never shadow codebook entries; transformed output is
-    plain text and is not restorable.
+    Transform entries never shadow codebook entries and never apply to the
+    reserved ``[A-Za-z@]``; transformed output is plain text and is not
+    restorable. The codebook's own table is built once and kept on `cb`.
     """
     if transform:
-        table: Mapping[int, str] = {**transform, **cb.char_to_code}
+        table = _code_point_table(
+            {cp: s for cp, s in transform.items() if cp not in RESERVED} | cb.char_to_code
+        )
     else:
-        table = cb.char_to_code
+        if cb.encode_table is None:
+            cb.encode_table = _code_point_table(cb.char_to_code)
+        table = cb.encode_table
 
     def encode(text: str) -> str:
-        parts = _PRESERVE_SPLIT.split(text)
-        out = []
-        for i, part in enumerate(parts):
-            if not part:
-                continue
-            if i & 1:
-                out.append("@" + part.replace("@", "@@") + "@")
-            else:
-                out.append(part.translate(table))
-        return "".join(out)
+        # Every '@' lies in a run, so doubling them first keeps the runs. The
+        # split alternates text and runs, so joining on '@' wraps each run once;
+        # the table maps every run character to itself.
+        return "@".join(_PRESERVE_SPLIT.split(text.replace("@", "@@"))).translate(table)
 
     return encode
 

@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately share no code with the package: the encoder is a
-char-by-char state machine, the decoder parses the wire grammar one character
-at a time with exact whole-segment lookup (no greedy search), and the BPE
-applier rescans the rule list from the top after every application. The BPE
-trainer recounts every pair of every word before each merge, and the
-tokenizer-optimized codebook oracle tokenizes every code of the profile. The
-language-id oracle hashes each n-gram one character at a time and scores one
-text at a time in plain floats; its training features count each text's gram
-strings in a `Counter`, and its trainer gathers an example's weight rows once
-for the scores and again for the update.
+char-by-char state machine that consults a transform only outside runs, the
+decoder parses the wire grammar one character at a time with exact
+whole-segment lookup (no greedy search), and the BPE applier rescans the
+rule list from the top after every application. The BPE trainer recounts
+every pair of every word before each merge, and the tokenizer-optimized
+codebook oracle tokenizes every code of the profile. The language-id oracle
+hashes each n-gram one character at a time and scores one text at a time in
+plain floats; its training features count each text's gram strings in a
+`Counter`, and its trainer gathers an example's weight rows once for the
+scores and again for the update.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from collections import Counter
 import numpy as np
 
 
-def ref_encode(text: str, char_to_code: dict[int, str]) -> str:
+def ref_encode(text: str, char_to_code: dict[int, str], transform: dict[int, str] | None = None) -> str:
+    """Codebook entries first; a transform entry applies only to a character outside a run."""
+    transform = transform or {}
     out = []
     run: list[str] = []
 
@@ -42,7 +45,7 @@ def ref_encode(text: str, char_to_code: dict[int, str]) -> str:
             run.append(ch)
         else:
             flush()
-            out.append(ch)
+            out.append(transform.get(ord(ch), ch))
     flush()
     return "".join(out)
 

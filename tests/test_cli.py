@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from translitkit import codebook, langid, synth, translit
+from translitkit import codebook, langid, synth, textio, translit
 from translitkit.cli import main
 from translitkit.config import load_pipeline_config
 from translitkit.errors import TranslitError
@@ -363,6 +363,45 @@ def test_detect_lone_cr_is_one_record(workspace):
     code, out = _pipe(["detect", "--model", str(root / "in.lid")], b"ab\rcd\n")
     assert code == 0
     assert out.count(b"\n") == 1 and out.endswith(b"\n")
+
+
+# --- encode over several input blocks ----------------------------------------
+
+
+def _encoded_per_line(data: bytes, encode) -> bytes:
+    """`data` with each line's text encoded on its own and its terminator kept."""
+    lines = textio.split_lines(data.decode("utf-8"))
+    return "".join(encode(text) + end for text, end in lines).encode("utf-8")
+
+
+def test_encode_long_line_and_crlf_across_blocks(workspace):
+    root, cb, _ = workspace
+    mapped = chr(min(cb.char_to_code))
+    pad = ("ab " * BLOCK_SIZE)[: BLOCK_SIZE - 1]  # its "\r" ends the first read, its "\n" starts the next
+    long_line = (mapped + "@q@ ") * BLOCK_SIZE  # longer than a block
+    many = "".join(f"{mapped * (i % 7)}x@y\r{i} ·\r\n" for i in range(6000))  # several blocks
+    lines = [(pad, "\r\n"), (long_line, "\n"), ("", "\r\n"), (many, ""), (mapped, "")]
+    data = "".join(text + end for text, end in lines).encode("utf-8")
+    assert data[BLOCK_SIZE - 1 : BLOCK_SIZE + 1] == b"\r\n"
+    status, out = _pipe(["encode", "--codebook", str(root / "cb.tsv")], data)
+    assert status == 0
+    assert out == _encoded_per_line(data, translit.translator(cb))
+
+
+@pytest.mark.parametrize("mapped, transform", [(0x0D, ""), (0x0A, ""), (None, "000D\tCR\n")],
+                         ids=["codebook-cr", "codebook-lf", "transform-cr"])
+def test_encode_mapping_a_line_end_encodes_line_by_line(tmp_path, mapped, transform):
+    cb = codebook.build_basic([0x0F40] + ([mapped] if mapped else []))
+    codebook.save_path(cb, str(tmp_path / "cb.tsv"))
+    argv = ["encode", "--codebook", str(tmp_path / "cb.tsv")]
+    if transform:
+        (tmp_path / "t.tsv").write_text(transform, encoding="utf-8")
+        argv += ["--transform", str(tmp_path / "t.tsv")]
+    encode = translit.translator(cb, codebook.load_transform(argv[-1]) if transform else None)
+    for data in ["ཀ\r\nx\ry\r\n\r\n".encode("utf-8"), "\rཀ\r\rz\n\n\ra\r\r\n".encode("utf-8")]:
+        status, out = _pipe(argv, data)
+        assert status == 0
+        assert out == _encoded_per_line(data, encode) != encode(data.decode("utf-8")).encode("utf-8")
 
 
 # --- decode over several input blocks ----------------------------------------

@@ -189,6 +189,12 @@ _LOCATED = [
     ("transform.tsv", "4F60\tni3\n597D\n",
      ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
      "FormatError", "line 2: expected 'codepoint_hex<TAB>replacement'"),
+    ("transform.tsv", "4F60\tni3\n597D\thao3\n110000\tx\n",
+     ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
+     "FormatError", "line 3: code point '110000' out of range"),
+    ("transform.tsv", "4F60\tni3\n597D\thao3\n# a comment\n-41\tx\n",
+     ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
+     "FormatError", "line 4: code point '-41' out of range"),
     ("cb.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n0041\tC\t2\t0\n",
      ["encode", "--codebook", "{cb.tsv}"],
      "IntegrityError", "line 3: U+0041 ('A') is reserved by the wire grammar"),

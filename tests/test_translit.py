@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from translitkit import translit
 from translitkit.codebook import Codebook, CodebookEntry, build_basic
 from translitkit.errors import DecodeError, FormatError, TranslitError
 from translitkit.kernel import kernel_decode
@@ -139,6 +140,47 @@ def test_translator_reuse_equals_to_latin():
     encode = translator(CB)
     for text in ["", "ཀཁ", "mixed ascii ཀ", "@@@"]:
         assert encode(text) == to_latin(text, CB)
+
+
+def test_translator_builds_the_codebook_table_once(monkeypatch):
+    built = []
+    real = translit._code_point_table
+    monkeypatch.setattr(translit, "_code_point_table", lambda mapping: built.append(1) or real(mapping))
+    cb = build_basic([0x0F40, 0x0F41])
+    translator(cb)
+    table = cb.encode_table
+    assert isinstance(table, list) and len(table) == 0x0F42
+    assert to_latin("ཀཁ", cb) == "BC" and translator(cb)("ཁ") == "C"
+    assert cb.encode_table is table and len(built) == 1
+    # A transform gets a table of its own per call and leaves the codebook's alone.
+    assert to_latin("ཀ你", cb, {0x4F60: "ni3"}) == "Bni3"
+    assert cb.encode_table is table and len(built) == 2
+
+
+def test_an_astral_or_negative_key_keeps_the_dict():
+    cb = build_basic([0x0F40, 0x1F600])
+    assert translator(cb)("ཀ😀x") == "BC@x@" and cb.encode_table is cb.char_to_code
+    assert to_latin("ཀ你", CB, {-1: "?", 0x4F60: "ni3"}) == "Bni3"
+
+
+# Reserved letters and '@', line ends, codebook characters, astral characters
+# and lone surrogates; the transforms draw keys among all of them.
+_ENCODE_ALPHABET = "@aZz \r\n·ཀཁ你😀\U0001d538\ud800\udfff"
+_ASTRAL_CB = build_basic([0x0F40, 0x1F600, 0x0F41])
+
+
+@settings(max_examples=300)
+@given(
+    cb=st.sampled_from([CB, _ASTRAL_CB]),
+    text=st.text(st.sampled_from(_ENCODE_ALPHABET) | st.characters(), max_size=40),
+    transform=st.dictionaries(
+        st.sampled_from([ord(ch) for ch in _ENCODE_ALPHABET]),
+        st.text("ab@Z3 ", min_size=1, max_size=4),
+        max_size=6,
+    ),
+)
+def test_translator_with_a_transform_matches_reference(cb, text, transform):
+    assert translator(cb, transform)(text) == ref_encode(text, cb.char_to_code, transform)
 
 
 # --- property tests -------------------------------------------------------
