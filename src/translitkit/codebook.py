@@ -259,7 +259,9 @@ def load_path(path: str) -> Codebook:
 def load_transform(path: str) -> dict[int, str]:
     """Load a lossy char->string table (e.g. hanzi to pinyin): `codepoint_hex<TAB>replacement`.
 
-    Output of a transform is not restorable; encoders treat it as plain text.
+    Output of a transform is not restorable; encoders treat it as plain text. A key
+    the encoder could never apply, a surrogate or one of the reserved `[A-Za-z@]`,
+    is an error naming its line.
     """
     table: dict[int, str] = {}
     for lineno, (line, _) in enumerate(textio.read_file(path), start=1):
@@ -274,6 +276,10 @@ def load_transform(path: str) -> dict[int, str]:
             raise FormatError(f"{path} line {lineno}: {exc}") from exc
         if not 0 <= cp <= 0x10FFFF:
             raise FormatError(f"{path} line {lineno}: code point {cols[0]!r} out of range")
+        if 0xD800 <= cp <= 0xDFFF:
+            raise FormatError(f"{path} line {lineno}: code point U+{cp:04X} is a surrogate")
+        if cp in RESERVED:
+            raise IntegrityError(f"{path} line {lineno}: {_reserved(cp)}")
         if cp in table:
             raise IntegrityError(f"{path} line {lineno}: duplicate codepoint U+{cp:04X}")
         table[cp] = cols[1]

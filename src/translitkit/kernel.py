@@ -8,16 +8,22 @@ and for strings long enough to pay for the kernel's fixed cost.
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping
 
 import numpy as np
 
 from .codebook import Codebook
+from .textio import BLOCK_SIZE
 
 _UTF32 = "utf-32-le"
 _NO_CODE = 0xFFFFFFFF  # above U+10FFFF, so no codebook entry's code point
 _MAX_WIDTH = 13  # 26 * 27**12 < 2**63: ids of codes up to 13 letters fit an int64
 _DENSE_WIDTH = 4  # up to 26 * 27**3 = 511,758 ids index a dense table (2 MB)
+# Strings up to this many code points (a block of encoded text, or a verify
+# batch once encoded) decode in working arrays kept from call to call; a longer
+# one gets arrays of its own, freed when the call returns.
+_SCRATCH_MAX = 4 * BLOCK_SIZE
 
 
 class _CodeTable:
@@ -49,17 +55,53 @@ class _CodeTable:
             order = np.argsort(ids)
             self.ids, self.cps = ids[order], cps[order]
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup(self, ids: np.ndarray, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into `out`, where `starts` is True, the code point of the code with id `ids`.
+
+        A position whose id is no code's gets _NO_CODE; `out` is left undefined
+        where `starts` is False.
+        """
         if self.dense is not None:
-            return self.dense[ids]
+            # Every id is in the table; "clip" only spares numpy a buffered copy.
+            return self.dense.take(ids, mode="clip", out=out)
+        ids = ids[starts]
         pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
-        return np.where(self.ids[pos] == ids, self.cps[pos], _NO_CODE)
+        out[starts] = np.where(self.ids[pos] == ids, self.cps[pos], _NO_CODE)
+        return out
 
 
 def _code_table(cb: Codebook) -> _CodeTable:
     if cb.kernel_table is None:
         cb.kernel_table = _CodeTable(cb.code_to_char)
     return cb.kernel_table
+
+
+class _Scratch:
+    """The kernel's working arrays by name, each reused by later requests for that name.
+
+    Reused from call to call, an array is faulted in once for a stream of
+    blocks rather than once per block. Up to _SCRATCH_MAX elements an array is
+    allocated with a power-of-two length, so that blocks of slightly different
+    sizes share it; a longer one is allocated with the length asked for.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, dtype: type, size: int) -> np.ndarray:
+        buf = self.arrays.get(name)
+        if buf is None or buf.size < size:
+            cap = size if size > _SCRATCH_MAX else 1 << (size - 1).bit_length()
+            buf = self.arrays[name] = np.empty(cap, dtype)
+        return buf[:size]
+
+
+class _PerThread(threading.local):
+    def __init__(self) -> None:
+        self.scratch = _Scratch()
+
+
+_per_thread = _PerThread()  # one scratch per thread, so concurrent calls never share one
 
 
 def kernel_decode(enc: str, cb: Codebook) -> str | None:
@@ -74,10 +116,14 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
     n = a.size
     if not n:
         return ""
-    keep = np.ones(n, bool)
-    upper = (a - 65) < 26  # wraps below 'A', so one compare tests the range
-    lower = (a - 97) < 26
-    at = (a == 64).nonzero()[0]
+    s = _per_thread.scratch if n <= _SCRATCH_MAX else _Scratch()
+    # Each subtraction wraps below 'A' (or 'a'), so one compare tests the range.
+    upper = np.less(np.subtract(a, 65, out=s.array("u32", np.uint32, n)), 26, out=s.array("upper", bool, n))
+    lower = np.less(np.subtract(a, 97, out=s.array("u32", np.uint32, n)), 26, out=s.array("lower", bool, n))
+    keep = s.array("keep", bool, n)
+    keep.fill(True)
+    mask = s.array("mask", bool, n)  # a boolean temporary
+    at = np.equal(a, 64, out=mask).nonzero()[0]
     if at.size:
         # A group of m '@'s flips inside/outside iff m is odd. Inside a group,
         # '@@' pairs stand for one '@' and a last unpaired '@' closes; outside,
@@ -92,32 +138,51 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
             return None  # unterminated, or an empty run
         j = np.arange(at.size) - np.repeat(first, size)
         keep[at] = ((j + np.repeat(before, size)) & 1).astype(bool) & (j + 1 < np.repeat(size, size))
-        flips = np.zeros(n + 1, np.uint8)
-        flips[at[first + size - 1][odd == 1] + 1] = 1
-        inside = (np.cumsum(flips[:n], dtype=np.uint8) & 1).astype(bool)
-        if inside[a == 10].any():
+        # The state flips at the last '@' of each odd group; it is read only
+        # at other characters. A uint8 sum wraps at 256, which keeps its parity.
+        flips = s.array("flips", np.uint8, n)
+        flips.fill(0)
+        flips[at[first + size - 1][odd == 1]] = 1
+        parity = np.cumsum(flips, dtype=np.uint8, out=s.array("parity", np.uint8, n))
+        inside = np.bitwise_and(parity, 1, out=parity).view(bool)
+        if np.logical_and(inside, np.equal(a, 10, out=mask), out=mask).any():
             return None  # a run crosses a line end
-        upper &= ~inside
-        lower &= ~inside
-    letter = upper | lower
-    if lower[0] or (lower[1:] & ~letter[:-1]).any():
+        outside = np.logical_not(inside, out=inside)
+        upper &= outside
+        lower &= outside
+    letter = np.logical_or(upper, lower, out=s.array("letter", bool, n))
+    stray = np.logical_not(letter[:-1], out=mask[1:])
+    stray &= lower[1:]
+    if lower[0] or stray.any():
         return None  # a lowercase letter that continues no code
-    out = a.copy()
-    starts = upper.nonzero()[0]
-    if starts.size:
-        last = letter.copy()  # the last letter of each code segment
-        last[:-1] &= ~lower[1:]
-        size = last.nonzero()[0] - starts + 1
+    out = a
+    if upper.any():
+        # Every position gets the radix id of its letter, if uppercase, and the
+        # lowercase letters after it (`cont`): a code's id where a code starts,
+        # and an id inside the table anywhere else.
         table = _code_table(cb)
-        if size.max() > table.width:
+        ids = np.subtract(a, 65, out=s.array("ids", np.int64, n), dtype=np.int64)
+        ids *= upper
+        digit = s.array("digit", np.int64, n)
+        cont = s.array("cont", bool, n)
+        cont.fill(True)
+        for j in range(1, table.width + 1):
+            m = max(n - j, 0)
+            cont[m:] = False
+            cont[:m] &= lower[j:]
+            if j < table.width:
+                ids *= 27
+                d = np.subtract(a[j:], 96, out=digit[:m], dtype=np.int64)
+                d *= cont[:m]
+                ids[:m] += d
+        if cont.any():
+            return None  # a code segment longer than any code of the table
+        out = table.lookup(ids, upper, out=s.array("out", np.uint32, n))
+        if np.logical_and(np.equal(out, _NO_CODE, out=mask), upper, out=mask).any():
             return None
-        ids = a.take(starts).astype(np.int64) - 65
-        for k in range(1, table.width):
-            ids *= 27
-            ids += np.where(size > k, a.take(starts + k, mode="clip").astype(np.int64) - 96, 0)
-        cps = table.lookup(ids)
-        if (cps == _NO_CODE).any():
-            return None
-        out[starts] = cps
-        keep &= ~lower
-    return out.compress(keep).tobytes().decode(_UTF32, "surrogatepass")
+        # out = a where no code starts: a + upper * (out - a), exact in uint32.
+        out -= a
+        out *= upper
+        out += a
+        keep &= np.logical_not(lower, out=lower)
+    return str(out.compress(keep), _UTF32, "surrogatepass")

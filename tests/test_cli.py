@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import logging
 import random
@@ -190,6 +191,27 @@ def test_verify_exit_3_on_failures(workspace, capsys, monkeypatch):
     assert main(["verify", str(root / "corpus.txt"), "--codebook", str(root / "cb.tsv")]) == 3
     out = capsys.readouterr().out
     assert "failures: 2" in out and "first_failure_offset: 1" in out
+
+
+
+def test_verify_report_over_a_bom_crlf_file_with_failing_lines(tmp_path, capsys, monkeypatch):
+    # "\x01" passes through the real encoder; the spoiled one puts a wrong code
+    # in its place, in a whole batch and in a single line alike.
+    real = translit.translator
+    monkeypatch.setattr(translit, "translator", lambda cb: lambda text: real(cb)(text).replace("\x01", "C"))
+    cb_path = tmp_path / "cb.tsv"
+    codebook.save_path(codebook.build_basic([0x0F40, 0x0F41]), str(cb_path))  # ཀ -> "B", ཁ -> "C"
+    lines = ["ཀཁ a@b\rc" * (i % 7) + ("\x01" if i % 500 == 3 else "") for i in range(3000)]
+    ends = ["\r\n" if i % 2 else "\n" for i in range(len(lines) - 1)] + [""]  # no end on the last line
+    starts = list(itertools.accumulate(
+        (len((line + end).encode("utf-8")) for line, end in zip(lines, ends)), initial=len(textio.BOM.encode())
+    ))
+    spanning = next(i for i in range(len(lines)) if starts[i] < BLOCK_SIZE < starts[i + 1])
+    assert spanning == 1748
+    lines[spanning] += "\x01"  # a failing line across the first block boundary
+    (tmp_path / "corpus.txt").write_bytes((textio.BOM + "".join(map(str.__add__, lines, ends))).encode("utf-8"))
+    assert main(["verify", str(tmp_path / "corpus.txt"), "--codebook", str(cb_path)]) == 3
+    assert capsys.readouterr().out == "total: 3000\nfailures: 7\nfirst_failure_offset: 3\n"
 
 
 def test_stats_json_and_human(workspace, capsys):

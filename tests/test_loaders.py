@@ -210,6 +210,12 @@ _LOCATED = [
     ("labeled.txt", "__label__bo\tཀ\nhello\n",
      ["langid-train", "{labeled.txt}", "-o", "{out}"],
      "FormatError", "line 2: expected '__label__<tag>\\t<text>'"),
+    ("transform.tsv", "4F60\tni3\n597D\thao3\n# a comment\n\n0041\tx\n",
+     ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
+     "IntegrityError", "line 5: U+0041 ('A') is reserved by the wire grammar"),
+    ("transform.tsv", "4F60\tni3\n597D\thao3\n# a comment\n\n4E00\tyi1\nD800\ty\n",
+     ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
+     "FormatError", "line 6: code point U+D800 is a surrogate"),
 ]
 
 

@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from translitkit import translit
+from translitkit import kernel, translit
 from translitkit.codebook import Codebook, CodebookEntry, build_basic
 from translitkit.errors import DecodeError, FormatError, TranslitError
 from translitkit.kernel import kernel_decode
@@ -422,17 +425,132 @@ def test_verify_roundtrip_lines_with_newlines_and_a_newline_code(default_codeboo
         assert (report.total, report.failures, report.first_failure_offset) == (len(lines), 0, None)
 
 
-def test_verify_roundtrip_names_failing_lines_in_batches(default_codebook, monkeypatch):
-    import translitkit.translit as translit_mod
+# Characters the encoder of `_corrupting` spoils, whether it gets one line or a
+# whole batch: the real encoder passes each through, and its output gets wrong
+# text, an encoded line end or an unknown code in its place.
+_SPOILED = {"\x01": "C", "\x02": "\n", "\x03": "Zz"}
 
-    real = translit_mod.translator(default_codebook)
-    # Wrong text and a decoded line end in one batch; an unknown code in a later one.
-    broken = {40_000: "C", 40_005: "\n", 70_001: "Zz"}
 
+def _corrupting(real_translator):
     def translator(cb):
-        count = iter(range(10**9))
-        return lambda line: broken.get(next(count), real(line))
+        real = real_translator(cb)
 
-    monkeypatch.setattr(translit_mod, "translator", translator)
-    report = verify_roundtrip(["ཀ"] * 80_000, default_codebook)
+        def encode(text):
+            enc = real(text)
+            for ch, bad in _SPOILED.items():
+                enc = enc.replace(ch, bad)
+            return enc
+
+        return encode
+
+    return translator
+
+
+def test_verify_roundtrip_names_failing_lines_in_batches(default_codebook, monkeypatch):
+    monkeypatch.setattr(translit, "translator", _corrupting(translit.translator))
+    # Wrong text and a decoded line end in one batch; an unknown code in a later one.
+    lines = ["ཀ"] * 80_000
+    lines[40_000], lines[40_005], lines[70_001] = "\x01", "\x02", "\x03"
+    report = verify_roundtrip(lines, default_codebook)
     assert (report.total, report.failures, report.first_failure_offset) == (80_000, 3, 40_000)
+
+
+# Line ends, '@' runs, letters, codebook characters, astral characters, lone
+# surrogates and the characters `_corrupting` spoils.
+_VERIFY_PIECES = ["\r", "\n", "@", "@@", "aZ", "B", "ཀ", "ཁ", "é", "😀", "\U0001d538", "\ud800", "\udfff",
+                  *_SPOILED]
+_VERIFY_CBS = {
+    "default": None,
+    "newline": NEWLINE_CB,  # maps '\n' and '\r': verified line by line
+    "lf": build_basic([0x0F40, 0x0A]),  # maps '\n' only: verified line by line
+    "cr": build_basic([0x0F40, 0x0D]),  # maps '\r' only: line ends still encode to themselves
+}
+
+
+@pytest.mark.parametrize("name", list(_VERIFY_CBS))
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.lists(st.sampled_from(_VERIFY_PIECES), max_size=8).map("".join), max_size=30),
+    block=st.integers(1, 40),
+)
+def test_verify_roundtrip_matches_a_per_line_oracle(name, lines, block, default_codebook):
+    cb = _VERIFY_CBS[name] or default_codebook
+    translator = _corrupting(translit.translator)
+    encode = translator(cb)
+
+    def roundtrips(line):
+        try:
+            return from_latin(encode(line), cb) == line
+        except TranslitError:
+            return False
+
+    failing = [offset for offset, line in enumerate(lines) if not roundtrips(line)]
+    # Small batches, so that one batch holds both failing and passing lines.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translit, "translator", translator)
+        mp.setattr(translit, "BLOCK_SIZE", block)
+        report = verify_roundtrip(lines, cb)
+    expected = (len(lines), len(failing), failing[0] if failing else None)
+    assert (report.total, report.failures, report.first_failure_offset) == expected
+
+
+# --- the kernel's working arrays, kept from call to call ----------------------
+
+
+def _fresh_kernel_decode(enc: str, cb: Codebook) -> str | None:
+    """`kernel_decode` in a new thread, whose working arrays are new."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(kernel_decode, enc, cb).result()
+
+
+def _long(cb: Codebook, runs: bool, repeat: int) -> str:
+    codes = "".join(sorted(cb.code_to_char))
+    return ((codes + "@x@@y@ 😀\n") if runs else codes) * repeat
+
+
+def test_kernel_calls_of_any_size_order_match_a_fresh_call(default_codebook):
+    huge = _long(SPARSE_CB, False, kernel._SCRATCH_MAX // 20)  # longer than the kept arrays go
+    assert len(huge) > kernel._SCRATCH_MAX
+    calls = [
+        (default_codebook, _long(default_codebook, True, 3000)),
+        (default_codebook, "BaB"),
+        (LONG_CB, _long(LONG_CB, False, 40)),
+        (default_codebook, _long(default_codebook, False, 2000)),
+        (SPARSE_CB, "@a@" + _long(SPARSE_CB, True, 5)),
+        (LONG_CB, "Bab@"),  # unterminated: declined
+        (SPARSE_CB, huge),
+        (default_codebook, _long(default_codebook, True, 20)),
+        (LONG_CB, "Bz\nQxyz"),
+    ]
+    for cb, enc in calls * 2:
+        assert kernel_decode(enc, cb) == _fresh_kernel_decode(enc, cb)
+    assert max(buf.size for buf in kernel._per_thread.scratch.arrays.values()) <= kernel._SCRATCH_MAX
+
+
+def test_kernel_decodes_from_several_threads_at_once(default_codebook):
+    inputs = [
+        (default_codebook, _long(default_codebook, True, 400)),
+        (LONG_CB, _long(LONG_CB, False, 700)),
+        (default_codebook, _long(default_codebook, False, 50)),
+        (SPARSE_CB, _long(SPARSE_CB, True, 300)),
+    ]
+    expected = [scan_decode(enc, cb).text for cb, enc in inputs]
+    threads = 4  # more than the cores of a small host, so that they interleave
+    start = threading.Barrier(threads, timeout=30)
+
+    def work(shift):
+        start.wait()
+        order = [(i + shift) % len(inputs) for i in range(len(inputs))] * 10
+        return [(i, kernel_decode(inputs[i][1], inputs[i][0])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            runs = [pool.submit(work, shift) for shift in range(threads)]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert len(result) == 10 * len(inputs)
+        assert all(text == expected[i] for i, text in result)
