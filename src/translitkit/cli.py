@@ -133,11 +133,12 @@ def cmd_decode(args) -> int:
         if text is not None:
             yield text
             return
-        lines = list(textio.split_lines(block))
-        outcomes = translit.decode_lines([line for line, _ in lines], cb, args.mode)
-        for n, (result, (_, end)) in enumerate(zip(outcomes, lines), lineno):
-            if isinstance(result, TranslitError):
-                raise type(result)(f"{STDIN} line {n}: {result}", offset=result.offset) from None
+        # The kernel would decline the lines joined again, so each is decoded alone.
+        for n, (line, end) in enumerate(textio.split_lines(block), lineno):
+            try:
+                result = translit.decode(line, cb, args.mode)
+            except TranslitError as exc:
+                raise type(exc)(f"{STDIN} line {n}: {exc}", offset=exc.offset) from None
             warnings_total += len(result.warnings)
             for w in result.warnings:
                 log.warning("%s line %d: %s", STDIN, n, w)

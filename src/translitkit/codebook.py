@@ -29,6 +29,14 @@ def _reserved(cp: int) -> str:
     return f"U+{cp:04X} ({chr(cp)!r}) is reserved by the wire grammar"
 
 
+def check_code_point(cp: int, cell: str, where: str) -> None:
+    """Raise FormatError, prefixed with `where`, unless `cp` (read from `cell`) is a Unicode scalar value."""
+    if not 0 <= cp <= 0x10FFFF:
+        raise FormatError(f"{where}: code point {cell!r} out of range")
+    if 0xD800 <= cp <= 0xDFFF:
+        raise FormatError(f"{where}: code point U+{cp:04X} is a surrogate")
+
+
 @dataclass(frozen=True)
 class CodebookEntry:
     codepoint: int
@@ -223,10 +231,7 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
             token_count = int(cols[3])
         except ValueError as exc:
             raise FormatError(f"{name} line {lineno}: {exc}") from exc
-        if not 0 <= cp <= 0x10FFFF:
-            raise FormatError(f"{name} line {lineno}: code point {cols[0]!r} out of range")
-        if 0xD800 <= cp <= 0xDFFF:
-            raise FormatError(f"{name} line {lineno}: code point U+{cp:04X} is a surrogate")
+        check_code_point(cp, cols[0], f"{name} line {lineno}")
         code = cols[1]
         if not is_valid_code(code):
             raise FormatError(f"{name} line {lineno}: invalid code {code!r}")
@@ -274,10 +279,7 @@ def load_transform(path: str) -> dict[int, str]:
             cp = int(cols[0], 16)
         except ValueError as exc:
             raise FormatError(f"{path} line {lineno}: {exc}") from exc
-        if not 0 <= cp <= 0x10FFFF:
-            raise FormatError(f"{path} line {lineno}: code point {cols[0]!r} out of range")
-        if 0xD800 <= cp <= 0xDFFF:
-            raise FormatError(f"{path} line {lineno}: code point U+{cp:04X} is a surrogate")
+        check_code_point(cp, cols[0], f"{path} line {lineno}")
         if cp in RESERVED:
             raise IntegrityError(f"{path} line {lineno}: {_reserved(cp)}")
         if cp in table:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable
 
 from . import textio
+from .codebook import check_code_point
 from .errors import ConfigError, FormatError, IntegrityError
 
 OTHER = "other"
@@ -148,10 +149,7 @@ def read_tsv(src: BinaryIO, name: str = "<frequency tsv>") -> FrequencyTable:
             count = int(fields[3])
         except ValueError as exc:
             raise FormatError(f"{name} line {lineno}: {exc}") from exc
-        if not 0 <= cp <= 0x10FFFF:
-            raise FormatError(f"{name} line {lineno}: code point {fields[0]!r} out of range")
-        if 0xD800 <= cp <= 0xDFFF:
-            raise FormatError(f"{name} line {lineno}: code point U+{cp:04X} is a surrogate")
+        check_code_point(cp, fields[0], f"{name} line {lineno}")
         if hexval != cp:
             raise FormatError(f"{name} line {lineno}: hex column U+{hexval:04X} != codepoint {cp}")
         if count <= 0:

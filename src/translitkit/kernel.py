@@ -125,25 +125,22 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
     mask = s.array("mask", bool, n)  # a boolean temporary
     at = np.equal(a, 64, out=mask).nonzero()[0]
     if at.size:
-        # A group of m '@'s flips inside/outside iff m is odd. Inside a group,
-        # '@@' pairs stand for one '@' and a last unpaired '@' closes; outside,
-        # the first '@' opens. So '@' number j of a group entered in state s
-        # (1 = inside) is kept iff (j + s) is odd and it is not the group's last.
-        first = (np.diff(at, prepend=-2) != 1).nonzero()[0]
-        size = np.diff(first, append=at.size)
-        odd = size & 1
-        after = np.cumsum(odd) & 1
-        before = after ^ odd
-        if after[-1] or ((before == 0) & (size == 2)).any():
-            return None  # unterminated, or an empty run
-        j = np.arange(at.size) - np.repeat(first, size)
-        keep[at] = ((j + np.repeat(before, size)) & 1).astype(bool) & (j + 1 < np.repeat(size, size))
-        # The state flips at the last '@' of each odd group; it is read only
-        # at other characters. A uint8 sum wraps at 256, which keeps its parity.
-        flips = s.array("flips", np.uint8, n)
-        flips.fill(0)
-        flips[at[first + size - 1][odd == 1]] = 1
-        parity = np.cumsum(flips, dtype=np.uint8, out=s.array("parity", np.uint8, n))
+        # Number the '@'s 0, 1, 2, ... in order. A character other than '@' is
+        # inside a run iff an odd number of '@'s come before it. Inside a run
+        # '@@' stands for one '@' and a lone '@' closes it, so '@' number k is
+        # kept iff k is odd and '@' number k + 1 follows it at once.
+        if at.size & 1:
+            return None  # unterminated
+        # adj[k]: '@' number k follows '@' number k - 1 at once; False at both ends.
+        adj = np.zeros(at.size + 1, bool)
+        np.equal(np.diff(at), 1, out=adj[1:-1])
+        kept = adj[2::2]  # adj[k + 1] for each odd k
+        if (adj[1::2] & ~adj[:-1:2] & ~kept).any():
+            return None  # an even-numbered '@' in a group of exactly two: an empty run
+        keep[at[::2]] = False
+        keep[at[1::2]] = kept
+        # The count of '@'s so far; a uint8 sum wraps at 256, which keeps its parity.
+        parity = np.cumsum(mask, dtype=np.uint8, out=s.array("parity", np.uint8, n))
         inside = np.bitwise_and(parity, 1, out=parity).view(bool)
         if np.logical_and(inside, np.equal(a, 10, out=mask), out=mask).any():
             return None  # a run crosses a line end

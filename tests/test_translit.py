@@ -278,7 +278,7 @@ LONG_CB = _codebook(["B", "C", "Q", "Ba", "Bz", "Bab", "Baz", "Zzz", "Babc", "Qx
 SPARSE_CB = _codebook(["B", "Ba", "Bab", "Babcd", "Babcde", "Xyzzyqa", "Q"])
 # Pieces of decoder input besides whole codes: letters, '@' groups, line ends
 # and passthrough characters (BMP and not), so that repairs and errors occur.
-PIECES = list("ABQXZabxyz@\n\r é·😀𝔸") + ["@@", "@@@", "ཀ", "一"]
+PIECES = list("ABQXZabxyz@\n\r é·😀𝔸") + ["@@", "@@@", "@@@@", "@a@", "ཀ", "一"]
 
 
 def _as_outcome(out):
@@ -413,6 +413,34 @@ def test_kernel_rejects_runs_across_line_ends_that_decode_accepts():
     enc = "@a\nb@" + "B" * 300
     assert kernel_decode(enc, CB) is None
     assert from_latin(enc, CB) == "a\nb" + "ཀ" * 300
+
+
+@pytest.mark.parametrize(
+    "enc, expected, kernel_declines",
+    [
+        ("@@", FormatError, True),  # an empty run
+        ("@@@@", "@", False),
+        ("@@@@@@", "@@", False),
+        ("@@@@@", FormatError, True),  # unterminated
+        ("@a@@b@", "a@b", False),
+        ("@a@@@", "a@", False),
+        ("@@@a@", "@a", False),
+        ("@a@@", FormatError, True),  # unterminated: the '@@' is an '@' inside the run
+        ("@a@@@b@", FormatError, True),  # 'b' follows a closed run
+        ("@a\nb@", "a\nb", True),  # a run across a line end is left to the scan
+        ("@a@\nB", "a\nཀ", False),
+        ("@a@B", "aཀ", False),
+        ("@@@@C@@@@", "@ཁ@", False),
+    ],
+)
+def test_kernel_and_scan_on_hand_made_runs(enc, expected, kernel_declines):
+    """`expected` is what strict `scan_decode` returns, or the error it raises."""
+    if isinstance(expected, str):
+        assert scan_decode(enc, CB, "strict").text == expected
+    else:
+        with pytest.raises(expected):
+            scan_decode(enc, CB, "strict")
+    assert kernel_decode(enc, CB) == (None if kernel_declines else expected)
 
 
 def test_verify_roundtrip_lines_with_newlines_and_a_newline_code(default_codebook):
