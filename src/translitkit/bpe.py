@@ -38,9 +38,9 @@ class BpeModel:
     vocab: list[str]
     merges: list[tuple[str, str]]
     byte_fallback: bool = False
-    _vocab_set: frozenset[str] = field(init=False, repr=False)
-    _ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
-    _word_cache: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    _vocab_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _word_cache: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vocab)) != len(self.vocab):
@@ -52,15 +52,6 @@ class BpeModel:
                 raise FormatError(f"merge result {a + b!r} missing from vocab")
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         self._word_cache = {}
-
-    def __eq__(self, other):
-        if not isinstance(other, BpeModel):
-            return NotImplemented
-        return (
-            self.vocab == other.vocab
-            and self.merges == other.merges
-            and self.byte_fallback == other.byte_fallback
-        )
 
     def tokenize(self, text: str) -> list[str]:
         """Deterministic segmentation: lowest-ranked applicable merge first."""

@@ -50,13 +50,13 @@ class Codebook:
     entries: list[CodebookEntry]
     strategy: str
     source_freq_digest: str = ""
-    char_to_code: dict[int, str] = field(init=False, repr=False)
-    code_to_char: dict[str, int] = field(init=False, repr=False)
-    code_to_text: dict[str, str] = field(init=False, repr=False)
+    char_to_code: dict[int, str] = field(init=False, repr=False, compare=False)
+    code_to_char: dict[str, int] = field(init=False, repr=False, compare=False)
+    code_to_text: dict[str, str] = field(init=False, repr=False, compare=False)
     # The encoder's and the decode kernel's lookup tables; `translit.translator`
     # and `kernel` build them on first use.
-    encode_table: object = field(default=None, init=False, repr=False)
-    kernel_table: object = field(default=None, init=False, repr=False)
+    encode_table: object = field(default=None, init=False, repr=False, compare=False)
+    kernel_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -77,15 +77,6 @@ class Codebook:
         self.char_to_code = c2l
         self.code_to_char = l2c
         self.code_to_text = {code: chr(cp) for code, cp in l2c.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, Codebook):
-            return NotImplemented
-        return (
-            self.entries == other.entries
-            and self.strategy == other.strategy
-            and self.source_freq_digest == other.source_freq_digest
-        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -232,6 +223,13 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
         except ValueError as exc:
             raise FormatError(f"{name} line {lineno}: {exc}") from exc
         check_code_point(cp, cols[0], f"{name} line {lineno}")
+        # Each number as `save` writes it, so that a row re-saves as itself.
+        if cols[0] != f"{cp:04X}":
+            raise FormatError(f"{name} line {lineno}: code point {cols[0]!r} is not written as {cp:04X}")
+        if cols[2] != str(rank) or rank < 1:
+            raise FormatError(f"{name} line {lineno}: rank {cols[2]!r} is not a decimal of 1 or more")
+        if cols[3] != str(token_count) or token_count < 0:
+            raise FormatError(f"{name} line {lineno}: token count {cols[3]!r} is not a decimal of 0 or more")
         code = cols[1]
         if not is_valid_code(code):
             raise FormatError(f"{name} line {lineno}: invalid code {code!r}")

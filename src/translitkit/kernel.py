@@ -9,7 +9,6 @@ and for strings long enough to pay for the kernel's fixed cost.
 from __future__ import annotations
 
 import threading
-from typing import Mapping
 
 import numpy as np
 
@@ -18,61 +17,36 @@ from .textio import BLOCK_SIZE
 
 _UTF32 = "utf-32-le"
 _NO_CODE = 0xFFFFFFFF  # above U+10FFFF, so no codebook entry's code point
-_MAX_WIDTH = 13  # 26 * 27**12 < 2**63: ids of codes up to 13 letters fit an int64
-_DENSE_WIDTH = 4  # up to 26 * 27**3 = 511,758 ids index a dense table (2 MB)
+_WIDTH = 4  # codes of up to four letters: ids below 26 * 27**3 = 511,758 index a dense table (2 MB)
 # Strings up to this many code points (a block of encoded text, or a verify
 # batch once encoded) decode in working arrays kept from call to call; a longer
 # one gets arrays of its own, freed when the call returns.
 _SCRATCH_MAX = 4 * BLOCK_SIZE
 
 
-class _CodeTable:
-    """The kernel's code -> code point lookup, built once per codebook.
+def _code_table(cb: Codebook) -> tuple[int, np.ndarray]:
+    """The kernel's code -> code point table for `cb`, built on first use: ``(width, table)``.
 
     A code's id is a radix-27 number over its letters, padded to `width`
     letters: the uppercase letter counts 0-25, each lowercase letter 1-26 and
-    a missing letter 0, so codes of different lengths never share an id. Up to
-    four letters the id indexes a dense uint32 table; longer codes are found by
-    binary search. A code longer than 13 letters would overflow the id; such a
-    segment is left to the scalar scan.
+    a missing letter 0, so codes of different lengths never share an id. The
+    id indexes `table`, which holds _NO_CODE for an id that is no code's. A
+    code longer than four letters has no entry; a segment that long is left
+    to the scalar scan.
     """
-
-    def __init__(self, code_to_char: Mapping[str, int]):
-        self.width = width = min(max(map(len, code_to_char), default=1), _MAX_WIDTH)
+    if cb.kernel_table is None:
+        code_to_char = cb.code_to_char
+        width = min(max(map(len, code_to_char), default=1), _WIDTH)
         codes = [code for code in code_to_char if len(code) <= width]
         # '`' is 'a' - 1, so a padding letter counts 0 as in `kernel_decode`.
         letters = np.frombuffer("".join(c.ljust(width, "`") for c in codes).encode("ascii"), np.uint8)
-        letters = letters.reshape(len(codes), width).astype(np.int64)
+        letters = letters.reshape(len(codes), width).astype(np.int32)
         ids = letters[:, 0] - 65
         for k in range(1, width):
             ids = ids * 27 + (letters[:, k] - 96)
-        cps = np.array([code_to_char[code] for code in codes], np.uint32)
-        if width <= _DENSE_WIDTH:
-            self.dense = np.full(26 * 27 ** (width - 1), _NO_CODE, np.uint32)
-            self.dense[ids] = cps
-        else:
-            self.dense = None
-            order = np.argsort(ids)
-            self.ids, self.cps = ids[order], cps[order]
-
-    def lookup(self, ids: np.ndarray, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write into `out`, where `starts` is True, the code point of the code with id `ids`.
-
-        A position whose id is no code's gets _NO_CODE; `out` is left undefined
-        where `starts` is False.
-        """
-        if self.dense is not None:
-            # Every id is in the table; "clip" only spares numpy a buffered copy.
-            return self.dense.take(ids, mode="clip", out=out)
-        ids = ids[starts]
-        pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
-        out[starts] = np.where(self.ids[pos] == ids, self.cps[pos], _NO_CODE)
-        return out
-
-
-def _code_table(cb: Codebook) -> _CodeTable:
-    if cb.kernel_table is None:
-        cb.kernel_table = _CodeTable(cb.code_to_char)
+        table = np.full(26 * 27 ** (width - 1), _NO_CODE, np.uint32)
+        table[ids] = [code_to_char[code] for code in codes]
+        cb.kernel_table = width, table
     return cb.kernel_table
 
 
@@ -109,8 +83,8 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
 
     The result, when there is one, is what `translit.decode` returns in either
     mode. None means `enc` holds something the scalar scan must judge: a stray
-    lowercase letter, an unknown or over-long code segment, an empty or
-    unterminated '@' run, or a run that crosses '\\n'.
+    lowercase letter, an unknown code segment or one of more than four letters,
+    an empty or unterminated '@' run, or a run that crosses '\\n'.
     """
     a = np.frombuffer(enc.encode(_UTF32, "surrogatepass"), np.uint32)
     n = a.size
@@ -157,24 +131,25 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
         # Every position gets the radix id of its letter, if uppercase, and the
         # lowercase letters after it (`cont`): a code's id where a code starts,
         # and an id inside the table anywhere else.
-        table = _code_table(cb)
-        ids = np.subtract(a, 65, out=s.array("ids", np.int64, n), dtype=np.int64)
+        width, table = _code_table(cb)
+        ids = np.subtract(a, 65, out=s.array("ids", np.int32, n), dtype=np.int32)
         ids *= upper
-        digit = s.array("digit", np.int64, n)
+        digit = s.array("digit", np.int32, n)
         cont = s.array("cont", bool, n)
         cont.fill(True)
-        for j in range(1, table.width + 1):
+        for j in range(1, width + 1):
             m = max(n - j, 0)
             cont[m:] = False
             cont[:m] &= lower[j:]
-            if j < table.width:
+            if j < width:
                 ids *= 27
-                d = np.subtract(a[j:], 96, out=digit[:m], dtype=np.int64)
+                d = np.subtract(a[j:], 96, out=digit[:m], dtype=np.int32)
                 d *= cont[:m]
                 ids[:m] += d
         if cont.any():
             return None  # a code segment longer than any code of the table
-        out = table.lookup(ids, upper, out=s.array("out", np.uint32, n))
+        # Every id is in the table; "clip" only spares numpy a buffered copy.
+        out = table.take(ids, mode="clip", out=s.array("out", np.uint32, n))
         if np.logical_and(np.equal(out, _NO_CODE, out=mask), upper, out=mask).any():
             return None
         # out = a where no code starts: a + upper * (out - a), exact in uint32.

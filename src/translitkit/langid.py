@@ -297,6 +297,23 @@ def save_model(model: LangIdModel, path: str) -> None:
             fh.write(memoryview(np.ascontiguousarray(array, dtype="<f8")).cast("B"))
 
 
+# The JSON type of each training parameter that `save_model` writes, ngram_range aside.
+_PARAM_TYPES = {"learning_rate": (float, int), "epochs": (int,), "min_count": (int,), "seed": (int,)}
+
+
+def _typed(value: object, types: tuple[type, ...], what: str):
+    """`value` if its type is one of `types`, else ValueError; a bool is no int, as in JSON."""
+    if type(value) not in types:
+        raise ValueError(f"{what} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def _int_pair(value: object, what: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(type(n) is int for n in value)):
+        raise ValueError(f"{what} must be a list of two integers, got {value!r}")
+    return value[0], value[1]
+
+
 def load_model(path: str) -> LangIdModel:
     """Read a model written by save_model; a truncated or corrupt file raises FormatError."""
     with open(path, "rb") as fh:
@@ -312,15 +329,20 @@ def load_model(path: str) -> LangIdModel:
             raise FormatError(f"{path}: header length {blob_len} runs past the end of the file")
         try:
             header = json.loads(fh.read(blob_len).decode("utf-8"))
-            labels = list(header["labels"])
-            lo, hi = (int(n) for n in header["ngram_range"])
-            ngram_range = (lo, hi)
-            buckets = int(header["hash_buckets"])
+            labels = header["labels"]
+            if not (isinstance(labels, list) and all(type(x) is str and x for x in labels)
+                    and len(set(labels)) == len(labels)):
+                raise ValueError(f"labels must be a list of distinct non-empty strings, got {labels!r}")
+            lo, hi = ngram_range = _int_pair(header["ngram_range"], "ngram_range")
+            buckets = _typed(header["hash_buckets"], (int,), "hash_buckets")
             # older models also record "dim" and "window", which never drove training
             tp = {k: v for k, v in header["training_params"].items() if k not in ("dim", "window")}
-            tp["ngram_range"] = tuple(tp["ngram_range"])
+            tp["ngram_range"] = _int_pair(tp["ngram_range"], "training_params.ngram_range")
+            for key, types in _PARAM_TYPES.items():
+                if key in tp:
+                    _typed(tp[key], types, f"training_params.{key}")
             params = TrainingParams(**tp)
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"{path}: bad header: {exc}") from exc
         if buckets <= 0 or not labels or not 1 <= lo <= hi:  # as train requires
             shape = f"{buckets} buckets, {len(labels)} labels, ngram_range {[lo, hi]}"

@@ -216,6 +216,16 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.tokenize("abab xy") == model.tokenize("abab xy")
 
 
+def test_a_model_with_a_warm_word_cache_equals_a_fresh_one(tmp_path):
+    model = train(["abab abab", "xy xy"], target_vocab=10)
+    save_model(model, str(tmp_path / "m"))
+    model.tokenize("abab xy yx")
+    assert model._word_cache
+    fresh = load_model(str(tmp_path / "m"))
+    assert model == fresh and fresh == model
+    assert model != BpeModel(model.vocab, model.merges, not model.byte_fallback)
+
+
 def test_save_load_preserves_whitespace_token(tmp_path):
     model = train(["a  b"], target_vocab=4)
     assert "  " in model.vocab

@@ -173,6 +173,19 @@ def test_decode_lenient_warns(workspace, capsys, monkeypatch):
     assert "decode warnings: 1" in captured.err
 
 
+def test_decode_of_a_codebook_with_five_letter_codes(tmp_path):
+    # The kernel leaves a code of five or more letters to the scan, block after block.
+    codes = ["B", "Babcd", "C", "Qwxyz"]
+    cb = codebook.Codebook([codebook.CodebookEntry(0x0F40 + i, c, i + 1, 0) for i, c in enumerate(codes)], "basic")
+    codebook.save_path(cb, str(tmp_path / "cb.tsv"))
+    encoded = "BBabcd C་Qwxyz@a@@b@\n" * 5000  # more than one block
+    assert len(encoded) > BLOCK_SIZE
+    code, out = _pipe(["decode", "--codebook", str(tmp_path / "cb.tsv")], encoded.encode("utf-8"))
+    assert code == 0
+    assert out == from_latin(encoded, cb).encode("utf-8")
+    assert out.startswith("\u0f40\u0f41 \u0f42\u0f0b\u0f43a@b\n".encode("utf-8"))
+
+
 def test_verify_reports_zero_failures(workspace, capsys):
     root, _, _ = workspace
     assert main(["verify", str(root / "corpus.txt"), "--codebook", str(root / "cb.tsv")]) == 0

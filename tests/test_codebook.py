@@ -17,6 +17,7 @@ from translitkit.codebook import (
 )
 from translitkit.codespace import DEFAULT_PROFILE, CodeSpaceProfile, enumerate_codes
 from translitkit.errors import CapacityError, ConfigError, FormatError, IntegrityError
+from translitkit.translit import from_latin, to_latin
 
 from reference import ref_build_tokenizer_optimized
 
@@ -235,6 +236,18 @@ def test_save_load_roundtrip(chars_162):
     assert loaded == cb
     assert loaded.char_to_code == cb.char_to_code
     assert loaded.source_freq_digest == "abcd1234abcd1234"
+
+
+def test_a_codebook_with_cached_tables_equals_a_fresh_load(chars_162):
+    cb = build_basic(chars_162, source_digest="abcd1234abcd1234")
+    buf = io.StringIO()
+    save(cb, buf)
+    text = "".join(map(chr, chars_162)) * 2  # long enough for decode to use the kernel
+    assert from_latin(to_latin(text, cb), cb) == text
+    assert cb.encode_table is not None and cb.kernel_table is not None
+    loaded = load(io.BytesIO(buf.getvalue().encode()))
+    assert cb == loaded and loaded == cb
+    assert cb != Codebook(cb.entries, cb.strategy, "")
 
 
 def test_load_handwritten_two_rows():

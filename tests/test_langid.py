@@ -285,6 +285,9 @@ def test_load_accepts_headers_that_record_dim_and_window(tmp_path, toy_model):
     assert old.training_params == toy_model.training_params
     texts = ["abab", "", "xyzzy zyx", "q"]
     assert predict_many(texts, old) == predict_many(texts, toy_model)
+    # A learning rate written as a JSON integer is still a number.
+    whole = _edit_header(path, tmp_path / "whole.lid", lambda h: h["training_params"].update(learning_rate=1))
+    assert load_model(whole).training_params.learning_rate == 1
     odd = _edit_header(path, tmp_path / "odd.lid", lambda h: h["training_params"].update(dim=150, depth=2))
     with pytest.raises(FormatError, match="bad header"):
         load_model(odd)
@@ -295,6 +298,14 @@ def test_load_accepts_headers_that_record_dim_and_window(tmp_path, toy_model):
     [
         ("ngram_range", [3]), ("ngram_range", [1, 2, 3]), ("hash_buckets", float("inf")), ("training_params", []),
         ("ngram_range", [3, 1]), ("ngram_range", [0, 0]), ("ngram_range", [-2, -1]),
+        # Values of the wrong JSON type, each of which once loaded.
+        ("labels", "ax"), ("labels", [1, 2]), ("labels", ["aa", "aa"]), ("labels", ["", "xx"]),
+        ("hash_buckets", SMALL_BUCKETS + 0.7), ("hash_buckets", float(SMALL_BUCKETS)),
+        ("ngram_range", [1.0, 3]), ("ngram_range", [True, 3]),
+        ("training_params", {"ngram_range": [1, 3], "learning_rate": "x"}),
+        ("training_params", {"ngram_range": [1, 3], "epochs": 2.5}),
+        ("training_params", {"ngram_range": [1, 3], "seed": True}),
+        ("training_params", {"ngram_range": ["1", 3]}),
     ],
 )
 def test_detect_on_a_bad_header_value_exits_2(tmp_path, toy_model, capsys, key, value):
@@ -302,7 +313,10 @@ def test_detect_on_a_bad_header_value_exits_2(tmp_path, toy_model, capsys, key, 
     save_model(toy_model, path)
     bad = _edit_header(path, tmp_path / "bad.lid", lambda h: h.update({key: value}))
     assert main(["detect", "abab", "--model", bad]) == 2
-    assert capsys.readouterr().err.startswith(f"error: FormatError: {bad}: bad header")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: FormatError: {bad}: bad header: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_load_rejects_a_file_that_shrinks_while_read(tmp_path, toy_model, monkeypatch):

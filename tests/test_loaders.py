@@ -218,7 +218,6 @@ _LOCATED = [
      "FormatError", "line 6: code point U+D800 is a surrogate"),
 ]
 
-
 @pytest.mark.parametrize(
     "name, text, argv, kind, message", _LOCATED, ids=[c[4][:6] + ":" + c[0] for c in _LOCATED]
 )
@@ -226,6 +225,32 @@ def test_a_loader_error_names_its_file_and_line(files, capsys, name, text, argv,
     path = files(name, text)
     assert main([str(files.root / a[1:-1]) if a.startswith("{") else a for a in argv]) == 2
     assert capsys.readouterr().err == f"error: {kind}: {path} {message}\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0x0F41\tC\t2\t0", "code point '0x0F41' is not written as 0F41"),
+        ("0f41\tC\t2\t0", "code point '0f41' is not written as 0F41"),
+        ("0F_41\tC\t2\t0", "code point '0F_41' is not written as 0F41"),
+        (" 0F41\tC\t2\t0", "code point ' 0F41' is not written as 0F41"),
+        ("F41\tC\t2\t0", "code point 'F41' is not written as 0F41"),
+        ("0F41\tC\t+5\t0", "rank '+5' is not a decimal of 1 or more"),
+        ("0F41\tC\t 5\t0", "rank ' 5' is not a decimal of 1 or more"),
+        ("0F41\tC\t1_0\t0", "rank '1_0' is not a decimal of 1 or more"),
+        ("0F41\tC\t-3\t0", "rank '-3' is not a decimal of 1 or more"),
+        ("0F41\tC\t0\t0", "rank '0' is not a decimal of 1 or more"),
+        ("0F41\tC\t02\t0", "rank '02' is not a decimal of 1 or more"),
+        ("0F41\tC\t2\t-1", "token count '-1' is not a decimal of 0 or more"),
+        ("0F41\tC\t2\t+0", "token count '+0' is not a decimal of 0 or more"),
+        ("0F41\tC\t2\t00", "token count '00' is not a decimal of 0 or more"),
+        ("0F41\tC\t2\t1 ", "token count '1 ' is not a decimal of 0 or more"),
+    ],
+)
+def test_a_codebook_row_loads_only_as_save_writes_it(files, capsys, row, message):
+    path = files("cb.tsv", f"#strategy=basic freq_digest=\n0F40\tB\t1\t0\n{row}\n")
+    assert main(["encode", "--codebook", path]) == 2
+    assert capsys.readouterr().err == f"error: FormatError: {path} line 3: {message}\n"
 
 
 # --- CRLF and BOM files load to the same objects as plain LF files -------------

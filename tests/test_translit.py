@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -272,10 +273,17 @@ def _codebook(codes: list[str]) -> Codebook:
     return Codebook([CodebookEntry(0x4E00 + i, code, i + 1, 0) for i, code in enumerate(codes)], "basic")
 
 
-# Codes of one to four letters (a dense kernel table), and of up to seven (a
-# searched one); both share prefixes so that greedy repairs happen.
+# Codes of one to four letters, all in the kernel's table, and of up to seven,
+# whose five- to seven-letter codes the kernel leaves to the scan; both share
+# prefixes so that greedy repairs happen.
 LONG_CB = _codebook(["B", "C", "Q", "Ba", "Bz", "Bab", "Baz", "Zzz", "Babc", "Qxyz", "Dq"])
 SPARSE_CB = _codebook(["B", "Ba", "Bab", "Babcd", "Babcde", "Xyzzyqa", "Q"])
+_RUN = re.compile("@(?:[^@]|@@)*+@")  # a closed '@' run, read as `ref_decode` reads it
+
+
+def _has_long_segment(enc: str) -> bool:
+    """Whether `enc` holds a code segment of five or more letters outside '@' runs."""
+    return re.search("[A-Z][a-z]{4}", _RUN.sub("@", enc)) is not None
 # Pieces of decoder input besides whole codes: letters, '@' groups, line ends
 # and passthrough characters (BMP and not), so that repairs and errors occur.
 PIECES = list("ABQXZabxyz@\n\r é·😀𝔸") + ["@@", "@@@", "@@@@", "@a@", "ཀ", "一"]
@@ -309,8 +317,9 @@ def test_kernel_matches_scalar_scan(name, data, default_codebook):
     enc = data.draw(_encoded(cb))
     text = kernel_decode(enc, cb)
     if text is None:
-        # The kernel leaves the scan only errors, repairs and runs across '\n'.
-        if "\n" not in enc:
+        # The kernel leaves the scan only errors, repairs, runs across '\n' and
+        # code segments of five or more letters.
+        if "\n" not in enc and not _has_long_segment(enc):
             with pytest.raises(TranslitError):
                 scan_decode(enc, cb, "strict")
         return
@@ -398,15 +407,21 @@ def test_decode_of_long_input_matches_scalar_scan(name, data, default_codebook):
 def test_kernel_matches_reference_on_valid_input(text, default_codebook):
     for cb in (default_codebook, LONG_CB, SPARSE_CB):
         enc = to_latin(text, cb)
-        assert kernel_decode(enc, cb) == ref_decode(enc, cb.code_to_char) == text
+        assert ref_decode(enc, cb.code_to_char) == text
+        # A valid encoding is declined exactly when it holds a code of five or more letters.
+        assert kernel_decode(enc, cb) == (None if _has_long_segment(enc) else text)
 
 
 def test_codes_longer_than_the_kernel_table_go_to_the_scan():
-    cb = _codebook(["B", "Babcdefghijklmn", "Cabcdefghijklmnopq"])  # 15 and 18 letters
-    enc = "BBabcdefghijklmnCabcdefghijklmnopq" * 20
-    assert kernel_decode(enc, cb) is None
-    assert from_latin(enc, cb) == "一丁丂" * 20
+    cb = _codebook(["B", "Qabcd", "Babcdefghijklmn", "Cabcdefghijklmnopq"])  # 5, 15 and 18 letters
+    for enc, text in [
+        ("BQabcd" * 60, "一丁" * 60),
+        ("BBabcdefghijklmnCabcdefghijklmnopq" * 20, "一丂七" * 20),
+    ]:
+        assert kernel_decode(enc, cb) is None
+        assert from_latin(enc, cb) == text
     assert kernel_decode("B" * 300, cb) == "一" * 300
+    assert kernel_decode("@Qabcd@" + "B" * 300, cb) == "Qabcd" + "一" * 300  # a run holds no code
 
 
 def test_kernel_rejects_runs_across_line_ends_that_decode_accepts():
@@ -537,8 +552,9 @@ def _long(cb: Codebook, runs: bool, repeat: int) -> str:
 
 
 def test_kernel_calls_of_any_size_order_match_a_fresh_call(default_codebook):
-    huge = _long(SPARSE_CB, False, kernel._SCRATCH_MAX // 20)  # longer than the kept arrays go
+    huge = _long(LONG_CB, False, kernel._SCRATCH_MAX // 20)  # longer than the kept arrays go
     assert len(huge) > kernel._SCRATCH_MAX
+    assert kernel_decode(huge, LONG_CB) is not None
     calls = [
         (default_codebook, _long(default_codebook, True, 3000)),
         (default_codebook, "BaB"),
@@ -546,7 +562,7 @@ def test_kernel_calls_of_any_size_order_match_a_fresh_call(default_codebook):
         (default_codebook, _long(default_codebook, False, 2000)),
         (SPARSE_CB, "@a@" + _long(SPARSE_CB, True, 5)),
         (LONG_CB, "Bab@"),  # unterminated: declined
-        (SPARSE_CB, huge),
+        (LONG_CB, huge),
         (default_codebook, _long(default_codebook, True, 20)),
         (LONG_CB, "Bz\nQxyz"),
     ]
@@ -562,7 +578,9 @@ def test_kernel_decodes_from_several_threads_at_once(default_codebook):
         (default_codebook, _long(default_codebook, False, 50)),
         (SPARSE_CB, _long(SPARSE_CB, True, 300)),
     ]
-    expected = [scan_decode(enc, cb).text for cb, enc in inputs]
+    # The SPARSE_CB input holds codes of five or more letters, which the kernel declines.
+    expected = [None if _has_long_segment(enc) else scan_decode(enc, cb).text for cb, enc in inputs]
+    assert expected.count(None) == 1
     threads = 4  # more than the cores of a small host, so that they interleave
     start = threading.Barrier(threads, timeout=30)
 
