@@ -10,11 +10,19 @@ Wire grammar of encoded text:
 
 Every code starts with its only uppercase letter, so uppercase letters delimit
 code segments and greedy longest-match decoding is exact. The encoding is a
-total, injective function. Encoding a string takes four C-level calls and no
-Python loop: double every '@', split at the runs, join the parts with '@', and
-`str.translate` through a table indexed by code point. Decoding is a single
-left-to-right pass, which a vectorized kernel makes over a whole block of lines
-at once.
+total, injective function.
+
+Encoding a string takes one `str.translate` through a table indexed by code
+point and, only when the text holds a run, two `str.replace` calls; there is
+no Python loop. The table maps each reserved character ``L`` to ``S + L + S``
+('@' to ``S + '@@' + S``) for a sentinel ``S``, a code point that the codebook
+maps. Every occurrence of ``S`` in the text becomes its code, so ``S`` reaches
+the output only as a mark. Inside a run the marks of neighbouring characters
+meet as ``SS``, which is deleted, and the two marks left at a run's ends
+become its '@'s. The price: text of Latin letters alone, which a plain
+`translate` copies on its ASCII fast path, now goes through the general path
+and takes a third to a half longer. Decoding is a single left-to-right pass,
+which a vectorized kernel makes over a whole block of lines at once.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from .textio import BLOCK_SIZE
 
 MODES = ("strict", "lenient")
 
-_PRESERVE_SPLIT = re.compile(r"([A-Za-z@]+)")
 # One alternative per token of the grammar: an '@' run (its content, '@@' for
 # each '@'), a code segment, a stretch of passthrough characters, and a lone
 # '@' or lowercase letter, which is an error. `(?!@)` keeps a run from ending
@@ -69,29 +76,58 @@ def _code_point_table(mapping: Mapping[int, str]) -> list[int | str] | Mapping[i
     return table
 
 
+def _encode_table(mapping: Mapping[int, str], sentinel: str) -> list[int | str] | Mapping[int, str]:
+    """The table of `mapping` plus the run marks: each reserved character between two `sentinel`s, '@' doubled."""
+    marks = {cp: f"{sentinel}{'@@' if cp == ord('@') else chr(cp)}{sentinel}" for cp in RESERVED}
+    return _code_point_table({**mapping, **marks})
+
+
+def _marking_encoder(table: list[int | str] | Mapping[int, str], sentinel: str) -> Callable[[str], str]:
+    """An encoder through `table`, whose run marks are `sentinel`."""
+    pair = sentinel + sentinel
+
+    def encode(text: str) -> str:
+        # Within a run the marks of neighbouring characters meet as a pair and
+        # go; the two left at the ends of each run become its '@'s.
+        out = text.translate(table)
+        return out.replace(pair, "").replace(sentinel, "@") if sentinel in out else out
+
+    return encode
+
+
 def translator(cb: Codebook, transform: Mapping[int, str] | None = None) -> Callable[[str], str]:
     """Bind a codebook (plus an optional lossy transform) into a reusable encoder.
 
     Transform entries never shadow codebook entries and never apply to the
     reserved ``[A-Za-z@]``; transformed output is plain text and is not
-    restorable. The codebook's own table is built once and kept on `cb`.
+    restorable. The encoder marks runs with a sentinel: the lowest mapped code
+    point that no transform value holds, so that it reaches the output only
+    where the table puts it. The codebook's own table is built once and kept
+    on `cb`; with a transform, it is built once per call. If no mapped code
+    point qualifies, each text gets a sentinel that occurs neither in it nor in
+    a transform value, and a table of its own.
     """
     if transform:
-        table = _code_point_table(
-            {cp: s for cp, s in transform.items() if cp not in RESERVED} | cb.char_to_code
-        )
-    else:
-        if cb.encode_table is None:
-            cb.encode_table = _code_point_table(cb.char_to_code)
+        mapping = {cp: s for cp, s in transform.items() if cp not in RESERVED} | cb.char_to_code
+        held = "".join(transform.values())
+    elif cb.encode_table is not None:
         table = cb.encode_table
+        return _marking_encoder(table, table[ord("@")][0])  # '@' maps to S + '@@' + S
+    else:
+        mapping, held = cb.char_to_code, ""
+    sentinel = min((chr(cp) for cp in cb.char_to_code if chr(cp) not in held), default=None)
+    if sentinel is None:
 
-    def encode(text: str) -> str:
-        # Every '@' lies in a run, so doubling them first keeps the runs. The
-        # split alternates text and runs, so joining on '@' wraps each run once;
-        # the table maps every run character to itself.
-        return "@".join(_PRESERVE_SPLIT.split(text.replace("@", "@@"))).translate(table)
+        def encode(text: str) -> str:
+            used = set(text).union(held)
+            free = next(chr(cp) for cp in range(0x110000) if chr(cp) not in used)
+            return _marking_encoder(_encode_table(mapping, free), free)(text)
 
-    return encode
+        return encode
+    table = _encode_table(mapping, sentinel)
+    if not transform:
+        cb.encode_table = table
+    return _marking_encoder(table, sentinel)
 
 
 def to_latin(text: str, cb: Codebook, transform: Mapping[int, str] | None = None) -> str:
@@ -231,6 +267,11 @@ def decode_lines(
         pieces = text.split("\n")
         if len(pieces) == len(encoded):
             return [DecodeResult(piece, []) for piece in pieces]
+    return _decode_each(encoded, cb, mode)
+
+
+def _decode_each(encoded: list[str], cb: Codebook, mode: str) -> list[DecodeResult | TranslitError]:
+    """`decode` of each of `encoded` on its own; per line, its DecodeResult or the TranslitError it raised."""
     outcomes: list[DecodeResult | TranslitError] = []
     for enc in encoded:
         try:
@@ -246,8 +287,10 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     When '\\n' encodes to itself, each batch is first checked whole: its lines
     joined by '\\n' encode to their encodings joined by '\\n', and the kernel
     declines any run that crosses '\\n', so a kernel pass that gives the joined
-    text back shows that every line of the batch round-trips. Any other batch
-    is checked line by line.
+    text back shows that every line of the batch round-trips. When that check
+    fails, the kernel would fail the same joined text again, so each line is
+    decoded on its own. A codebook that maps '\\n' has its batches checked
+    with `decode_lines`.
     """
     from . import kernel
 
@@ -262,7 +305,8 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
             if kernel.kernel_decode(encode(text), cb) == text:
                 total += len(batch)
                 continue
-        outcomes = decode_lines([encode(line) for line in batch], cb)
+        encoded = [encode(line) for line in batch]
+        outcomes = _decode_each(encoded, cb, "strict") if whole else decode_lines(encoded, cb)
         for offset, (line, out) in enumerate(zip(batch, outcomes), total):
             if isinstance(out, TranslitError) or out.text != line:
                 failures += 1

@@ -18,6 +18,8 @@ from translitkit.pipeline import Pipeline
 from translitkit.textio import BLOCK_SIZE
 from translitkit.translit import from_latin, to_latin
 
+from reference import ref_encode
+
 LOW_RESOURCE = ("bo", "mn", "ug")
 
 
@@ -326,6 +328,24 @@ def test_encode_with_lossy_transform(workspace, tmp_path, capsys, monkeypatch):
                  "--transform", str(transform)]) == 0
     out = capsys.readouterr().out
     assert out == "ni3" + cb.char_to_code[some_mapped] + "\n"
+
+
+def test_encode_with_a_transform_whose_values_hold_codebook_characters(workspace, tmp_path):
+    root, cb, _ = workspace
+    # The lowest mapped character is the one the encoder would mark runs with.
+    low, second, third = (chr(cp) for cp in sorted(cb.char_to_code)[:3])
+    transform = {0x4F60: low + "@", 0x00B7: "a" + second + third, 0x3002: low}
+    path = tmp_path / "t.tsv"
+    path.write_text("".join(f"{cp:04X}\t{value}\n" for cp, value in transform.items()), encoding="utf-8")
+    rng = random.Random(7)
+    lines = ["", "你", "a你b", low + "a·@", "@" + low + "@", "x。y"]
+    for line in synth.mixed_lines(rng, 300):
+        cut = rng.randint(0, len(line))
+        lines.append(line[:cut] + rng.choice(["你", "·", "。", "@你a", low]) + line[cut:])
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    status, out = _pipe(["encode", "--codebook", str(root / "cb.tsv"), "--transform", str(path)], data)
+    assert status == 0
+    assert out == "".join(ref_encode(line, cb.char_to_code, transform) + "\n" for line in lines).encode("utf-8")
 
 
 def test_build_codebook_tokenizer_requires_bpe(workspace, capsys):

@@ -163,7 +163,9 @@ def test_translator_builds_the_codebook_table_once(monkeypatch):
 
 def test_an_astral_or_negative_key_keeps_the_dict():
     cb = build_basic([0x0F40, 0x1F600])
-    assert translator(cb)("ཀ😀x") == "BC@x@" and cb.encode_table is cb.char_to_code
+    char_to_code = dict(cb.char_to_code)
+    assert translator(cb)("ཀ😀x") == "BC@x@"
+    assert isinstance(cb.encode_table, dict) and cb.char_to_code == char_to_code
     assert to_latin("ཀ你", CB, {-1: "?", 0x4F60: "ni3"}) == "Bni3"
 
 
@@ -173,17 +175,36 @@ _ENCODE_ALPHABET = "@aZz \r\n·ཀཁ你😀\U0001d538\ud800\udfff"
 _ASTRAL_CB = build_basic([0x0F40, 0x1F600, 0x0F41])
 
 
-@settings(max_examples=300)
+# The empty codebook, and the one-entry codebook once a transform value holds
+# its character, leave the encoder no mapped character to mark runs with.
+@settings(max_examples=400)
 @given(
-    cb=st.sampled_from([CB, _ASTRAL_CB]),
+    cb=st.sampled_from([CB, _ASTRAL_CB, Codebook([], "basic"), build_basic([0x0F40])]),
     text=st.text(st.sampled_from(_ENCODE_ALPHABET) | st.characters(), max_size=40),
     transform=st.dictionaries(
         st.sampled_from([ord(ch) for ch in _ENCODE_ALPHABET]),
-        st.text("ab@Z3 ", min_size=1, max_size=4),
+        st.text("ab@Z3 ཀཁ😀", min_size=1, max_size=4),
         max_size=6,
     ),
 )
 def test_translator_with_a_transform_matches_reference(cb, text, transform):
+    assert translator(cb, transform)(text) == ref_encode(text, cb.char_to_code, transform)
+
+
+# CB's lowest mapped character, ཀ, marks its runs; the transforms' values hold
+# it, or every mapped character, or the code points the fallback picks first.
+@pytest.mark.parametrize("cb", [CB, Codebook([], "basic")], ids=["two-entry", "empty"])
+@pytest.mark.parametrize("transform", [
+    None,
+    {0x4F60: "ཀ"},
+    {0x4F60: "ཀ@", 0x00B7: "aཁ"},
+    {0x4F60: "\x00\x01", 0x00B7: "ཁཀ\x02"},
+], ids=["none", "sentinel", "all-mapped", "first-free"])
+@pytest.mark.parametrize("text", [
+    "", "ཀ", "ཀa", "aཀ", "a@ཀ@b", "ཀ@", "@", "@@", "Za", "ཀཁ你·",
+    "a你b", "\x00a\x01@\x02", "ཁa·@ཀ", "a\nb @ ཀ\n",
+])
+def test_encode_marks_runs_exactly(cb, transform, text):
     assert translator(cb, transform)(text) == ref_encode(text, cb.char_to_code, transform)
 
 
@@ -496,6 +517,21 @@ def test_verify_roundtrip_names_failing_lines_in_batches(default_codebook, monke
     lines[40_000], lines[40_005], lines[70_001] = "\x01", "\x02", "\x03"
     report = verify_roundtrip(lines, default_codebook)
     assert (report.total, report.failures, report.first_failure_offset) == (80_000, 3, 40_000)
+
+
+@pytest.mark.parametrize("newline_cb", [False, True], ids=["whole", "newline-code"])
+def test_verify_roundtrip_runs_the_kernel_once_a_batch(newline_cb, default_codebook, monkeypatch):
+    cb = NEWLINE_CB if newline_cb else default_codebook
+    calls = []
+    real = kernel.kernel_decode
+    monkeypatch.setattr(kernel, "kernel_decode", lambda enc, cb: calls.append(len(enc)) or real(enc, cb))
+    monkeypatch.setattr(translit, "translator", _corrupting(translit.translator))
+    lines = ["ཀ"] * 80_000
+    lines[40_000] = "\x01"  # fails the block check of its batch
+    report = verify_roundtrip(lines, cb)
+    assert (report.total, report.failures, report.first_failure_offset) == (80_000, 1, 40_000)
+    # Every line is short, so only each batch's one joined pass reaches the kernel.
+    assert len(calls) == len(list(translit._batches(lines)))
 
 
 # Line ends, '@' runs, letters, codebook characters, astral characters, lone
