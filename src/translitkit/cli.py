@@ -129,20 +129,20 @@ def cmd_decode(args) -> int:
 
     def fn(block: str, lineno: int) -> Iterator[str]:
         nonlocal warnings_total
-        text = kernel.kernel_decode(block, cb)
-        if text is not None:
+        text, bad = kernel.kernel_lines(block, cb)
+        if not bad:
             yield text
             return
-        # The kernel would decline the lines joined again, so each is decoded alone.
-        for n, (line, end) in enumerate(textio.split_lines(block), lineno):
-            try:
-                result = translit.decode(line, cb, args.mode)
-            except TranslitError as exc:
-                raise type(exc)(f"{STDIN} line {n}: {exc}", offset=exc.offset) from None
-            warnings_total += len(result.warnings)
-            for w in result.warnings:
+        # A marked line is scanned with its '\r', which passes through.
+        outcomes = translit.splice(block.split("\n"), (text, bad), cb, args.mode)
+        last = lineno + len(outcomes) - 1  # the text after the block's last '\n'
+        for n, out in enumerate(outcomes, lineno):
+            if isinstance(out, TranslitError):
+                raise type(out)(f"{STDIN} line {n}: {out}", offset=out.offset) from None
+            warnings_total += len(out.warnings)
+            for w in out.warnings:
                 log.warning("%s line %d: %s", STDIN, n, w)
-            yield result.text + end
+            yield out.text if n == last else out.text + "\n"
 
     _filter(fn)
     if warnings_total:

@@ -210,6 +210,7 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
     entries = []
     seen_chars: dict[int, int] = {}
     seen_codes: dict[str, int] = {}
+    seen_ranks: dict[int, int] = {}
     for lineno, (line, _) in enumerate(lines, start=2):
         if not line or line.startswith("#"):
             continue
@@ -243,8 +244,11 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
             raise IntegrityError(
                 f"{name} line {lineno}: code {code!r} already mapped on line {seen_codes[code]}"
             )
+        if rank in seen_ranks:
+            raise IntegrityError(f"{name} line {lineno}: rank {rank} already used on line {seen_ranks[rank]}")
         seen_chars[cp] = lineno
         seen_codes[code] = lineno
+        seen_ranks[rank] = lineno
         entries.append(CodebookEntry(cp, code, rank, token_count))
     return Codebook(entries, strategy, digest)
 

@@ -1,9 +1,9 @@
 """The vectorized decoder: numpy passes over whole blocks of encoded text.
 
 This is the numpy half of `translit`, kept apart so that the processes that
-never decode (encode, analyze, the builds) do not import numpy. `translit`
-owns the grammar and the scalar scan and calls in here for a batch of lines
-and for strings long enough to pay for the kernel's fixed cost.
+never decode (encode, analyze, the builds) do not import numpy. It decodes
+the lines of a batch, or a string long enough to pay for its fixed cost, in
+one pass, and marks the lines that `translit`'s scalar scan must judge.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ def _code_table(cb: Codebook) -> tuple[int, np.ndarray]:
     letters: the uppercase letter counts 0-25, each lowercase letter 1-26 and
     a missing letter 0, so codes of different lengths never share an id. The
     id indexes `table`, which holds _NO_CODE for an id that is no code's. A
-    code longer than four letters has no entry; a segment that long is left
-    to the scalar scan.
+    code longer than four letters or for '\\n' has no entry: its line is left
+    to the scalar scan, so every '\\n' the kernel writes ends a line.
     """
     if cb.kernel_table is None:
         code_to_char = cb.code_to_char
         width = min(max(map(len, code_to_char), default=1), _WIDTH)
-        codes = [code for code in code_to_char if len(code) <= width]
-        # '`' is 'a' - 1, so a padding letter counts 0 as in `kernel_decode`.
+        codes = [code for code, cp in code_to_char.items() if len(code) <= width and cp != 10]
+        # '`' is 'a' - 1, so a padding letter counts 0 as in `kernel_lines`.
         letters = np.frombuffer("".join(c.ljust(width, "`") for c in codes).encode("ascii"), np.uint8)
         letters = letters.reshape(len(codes), width).astype(np.int32)
         ids = letters[:, 0] - 65
@@ -79,17 +79,24 @@ _per_thread = _PerThread()  # one scratch per thread, so concurrent calls never 
 
 
 def kernel_decode(enc: str, cb: Codebook) -> str | None:
-    """Decode `enc` in one vectorized pass over its UTF-32 code points, or return None.
+    """What `translit.decode` returns for `enc` in either mode, or None if `kernel_lines` marks a line."""
+    text, bad = kernel_lines(enc, cb)
+    return None if bad else text
 
-    The result, when there is one, is what `translit.decode` returns in either
-    mode. None means `enc` holds something the scalar scan must judge: a stray
-    lowercase letter, an unknown code segment or one of more than four letters,
-    an empty or unterminated '@' run, or a run that crosses '\\n'.
+
+def kernel_lines(enc: str, cb: Codebook) -> tuple[str, list[int]]:
+    """Decode `enc` line by line in one vectorized pass over its UTF-32 code points: ``(text, bad)``.
+
+    `bad` lists the numbers, from 0, of the '\\n'-separated lines that hold
+    what the scalar scan must judge: a stray lowercase letter, a code segment
+    unknown, for '\\n' or over four letters long, an empty run or an odd count
+    of '@'s. `text` joins by '\\n' each line's decoding, what `translit.decode`
+    returns in either mode, with every line in `bad` left empty.
     """
     a = np.frombuffer(enc.encode(_UTF32, "surrogatepass"), np.uint32)
     n = a.size
     if not n:
-        return ""
+        return "", []
     s = _per_thread.scratch if n <= _SCRATCH_MAX else _Scratch()
     # Each subtraction wraps below 'A' (or 'a'), so one compare tests the range.
     upper = np.less(np.subtract(a, 65, out=s.array("u32", np.uint32, n)), 26, out=s.array("upper", bool, n))
@@ -97,35 +104,39 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
     keep = s.array("keep", bool, n)
     keep.fill(True)
     mask = s.array("mask", bool, n)  # a boolean temporary
+    found = []  # positions of what only the scan can judge
     at = np.equal(a, 64, out=mask).nonzero()[0]
     if at.size:
         # Number the '@'s 0, 1, 2, ... in order. A character other than '@' is
         # inside a run iff an odd number of '@'s come before it. Inside a run
         # '@@' stands for one '@' and a lone '@' closes it, so '@' number k is
         # kept iff k is odd and '@' number k + 1 follows it at once.
-        if at.size & 1:
-            return None  # unterminated
+        # The count of '@'s so far; a uint8 sum wraps at 256, which keeps its parity.
+        parity = np.cumsum(mask, dtype=np.uint8, out=s.array("parity", np.uint8, n))
+        inside = np.bitwise_and(parity, 1, out=parity).view(bool)
+        if at.size & 1 or np.logical_and(inside, np.equal(a, 10, out=mask), out=mask).any():
+            # Empty each line with an odd count (its parity after differs from before) and decode again.
+            odd = np.diff(np.append(inside[a == 10], at.size & 1), prepend=0).nonzero()[0]
+            lines = np.array(enc.split("\n"), object)
+            lines[odd] = ""
+            text, bad = kernel_lines("\n".join(lines), cb)
+            return text, sorted(odd.tolist() + bad)
         # adj[k]: '@' number k follows '@' number k - 1 at once; False at both ends.
         adj = np.zeros(at.size + 1, bool)
         np.equal(np.diff(at), 1, out=adj[1:-1])
         kept = adj[2::2]  # adj[k + 1] for each odd k
-        if (adj[1::2] & ~adj[:-1:2] & ~kept).any():
-            return None  # an even-numbered '@' in a group of exactly two: an empty run
+        # An even-numbered '@' in a group of exactly two opens an empty run.
+        found.append(at[::2][adj[1::2] & ~adj[:-1:2] & ~kept])
         keep[at[::2]] = False
         keep[at[1::2]] = kept
-        # The count of '@'s so far; a uint8 sum wraps at 256, which keeps its parity.
-        parity = np.cumsum(mask, dtype=np.uint8, out=s.array("parity", np.uint8, n))
-        inside = np.bitwise_and(parity, 1, out=parity).view(bool)
-        if np.logical_and(inside, np.equal(a, 10, out=mask), out=mask).any():
-            return None  # a run crosses a line end
         outside = np.logical_not(inside, out=inside)
         upper &= outside
         lower &= outside
     letter = np.logical_or(upper, lower, out=s.array("letter", bool, n))
-    stray = np.logical_not(letter[:-1], out=mask[1:])
-    stray &= lower[1:]
-    if lower[0] or stray.any():
-        return None  # a lowercase letter that continues no code
+    # A lowercase letter that continues no code is stray.
+    mask[0] = True
+    np.logical_not(letter[:-1], out=mask[1:])
+    found.append(np.logical_and(mask, lower, out=mask).nonzero()[0])
     out = a
     if upper.any():
         # Every position gets the radix id of its letter, if uppercase, and the
@@ -146,15 +157,21 @@ def kernel_decode(enc: str, cb: Codebook) -> str | None:
                 d = np.subtract(a[j:], 96, out=digit[:m], dtype=np.int32)
                 d *= cont[:m]
                 ids[:m] += d
-        if cont.any():
-            return None  # a code segment longer than any code of the table
+        found.append(cont.nonzero()[0] + 1)  # a code segment longer than any code of the table
         # Every id is in the table; "clip" only spares numpy a buffered copy.
         out = table.take(ids, mode="clip", out=s.array("out", np.uint32, n))
-        if np.logical_and(np.equal(out, _NO_CODE, out=mask), upper, out=mask).any():
-            return None
+        found.append(np.logical_and(np.equal(out, _NO_CODE, out=mask), upper, out=mask).nonzero()[0])
         # out = a where no code starts: a + upper * (out - a), exact in uint32.
         out -= a
         out *= upper
         out += a
         keep &= np.logical_not(lower, out=lower)
-    return str(out.compress(keep), _UTF32, "surrogatepass")
+    marks = np.concatenate(found)
+    bad = []
+    if marks.size:
+        # Line i runs from ends[i] + 1 up to ends[i + 1], its '\n' or the end of `enc`.
+        ends = np.concatenate(([-1], np.equal(a, 10, out=mask).nonzero()[0], [n]))
+        bad = np.unique(np.searchsorted(ends, marks) - 1).tolist()
+        for i in bad:
+            keep[ends[i] + 1 : ends[i + 1]] = False
+    return str(out.compress(keep), _UTF32, "surrogatepass"), bad

@@ -22,7 +22,8 @@ meet as ``SS``, which is deleted, and the two marks left at a run's ends
 become its '@'s. The price: text of Latin letters alone, which a plain
 `translate` copies on its ASCII fast path, now goes through the general path
 and takes a third to a half longer. Decoding is a single left-to-right pass,
-which a vectorized kernel makes over a whole block of lines at once.
+which a vectorized kernel makes over a whole block of lines at once; the
+scalar scan takes only the lines the kernel marks.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ def to_latin(text: str, cb: Codebook, transform: Mapping[int, str] | None = None
 
 # --- decoding ---------------------------------------------------------------
 #
-# Two decoders share the grammar. The kernel (`kernel.py`, numpy) decodes a
-# whole string in one vectorized pass but only accepts what it can decode
+# Two decoders share the grammar. The kernel (`kernel.py`, numpy) decodes the
+# lines of a string in one vectorized pass and marks those it cannot decode
 # exactly; the scalar scan is the general left-to-right parser that reports
 # errors and makes the lenient repairs. `decode` tries the kernel first on all
-# but short strings; `decode_lines` decodes a list of lines in one kernel pass
-# and falls back to `decode` line by line. `kernel` is imported where it is
-# called, so that a process that never reaches it does not import numpy.
+# but short strings; `splice` scans only the marked lines of a batch, the one
+# per-line fallback. `kernel` is imported where it is called, so that a
+# process that never reaches it does not import numpy.
 
 
 def _check_mode(mode: str) -> None:
@@ -249,48 +250,42 @@ def _batches(lines: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def decode_lines(
-    encoded: list[str], cb: Codebook, mode: str = "strict"
+def splice(
+    encoded: list[str], decoded: tuple[str, list[int]], cb: Codebook, mode: str
 ) -> list[DecodeResult | TranslitError]:
-    """Decode each of `encoded`; per line, its DecodeResult or the TranslitError it raised.
+    """Per line of `encoded`, its DecodeResult or the TranslitError it raised.
 
-    The lines go through the kernel joined by '\\n' and are split back at '\\n'.
-    The kernel copies each '\\n' through, so the split gives one piece per line
-    unless some line decodes to text holding '\\n'. When the kernel declines,
-    or the count is off, each line goes through `decode` on its own.
+    `decoded` is `kernel.kernel_lines` of the lines joined by '\\n'. Only the
+    lines it marks go through `scan_decode`, or every line if one holds '\\n'.
     """
     _check_mode(mode)
+    text, bad = decoded
+    pieces = text.split("\n")
+    if len(pieces) != len(encoded):
+        pieces, bad = encoded, range(len(encoded))
+    outcomes: list[DecodeResult | TranslitError] = [DecodeResult(piece, []) for piece in pieces]
+    for i in bad:
+        try:
+            outcomes[i] = scan_decode(encoded[i], cb, mode)
+        except TranslitError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def decode_lines(encoded: list[str], cb: Codebook, mode: str = "strict") -> list[DecodeResult | TranslitError]:
+    """Decode each of `encoded` with one kernel pass over the lines joined by '\\n' (see `splice`)."""
     from . import kernel
 
-    text = kernel.kernel_decode("\n".join(encoded), cb)
-    if text is not None:
-        pieces = text.split("\n")
-        if len(pieces) == len(encoded):
-            return [DecodeResult(piece, []) for piece in pieces]
-    return _decode_each(encoded, cb, mode)
-
-
-def _decode_each(encoded: list[str], cb: Codebook, mode: str) -> list[DecodeResult | TranslitError]:
-    """`decode` of each of `encoded` on its own; per line, its DecodeResult or the TranslitError it raised."""
-    outcomes: list[DecodeResult | TranslitError] = []
-    for enc in encoded:
-        try:
-            outcomes.append(decode(enc, cb, mode))
-        except TranslitError as exc:
-            outcomes.append(exc)
-    return outcomes
+    return splice(encoded, kernel.kernel_lines("\n".join(encoded), cb), cb, mode)
 
 
 def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     """Count lines that do not survive encode-then-decode; 0 for a valid codebook.
 
-    When '\\n' encodes to itself, each batch is first checked whole: its lines
-    joined by '\\n' encode to their encodings joined by '\\n', and the kernel
-    declines any run that crosses '\\n', so a kernel pass that gives the joined
-    text back shows that every line of the batch round-trips. When that check
-    fails, the kernel would fail the same joined text again, so each line is
-    decoded on its own. A codebook that maps '\\n' has its batches checked
-    with `decode_lines`.
+    Each batch takes one kernel pass over its lines' encodings joined by '\\n'
+    (when '\\n' encodes to itself, the encoding of the joined lines: no run
+    crosses '\\n'). A pass that marks no line and gives the joined text back
+    shows that every line round-trips; otherwise `splice` finds the failures.
     """
     from . import kernel
 
@@ -300,17 +295,14 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     failures = 0
     first: int | None = None
     for batch in _batches(lines):
-        if whole:
-            text = "\n".join(batch)
-            if kernel.kernel_decode(encode(text), cb) == text:
-                total += len(batch)
-                continue
-        encoded = [encode(line) for line in batch]
-        outcomes = _decode_each(encoded, cb, "strict") if whole else decode_lines(encoded, cb)
-        for offset, (line, out) in enumerate(zip(batch, outcomes), total):
-            if isinstance(out, TranslitError) or out.text != line:
-                failures += 1
-                if first is None:
-                    first = offset
+        text = "\n".join(batch)
+        decoded = kernel.kernel_lines(encode(text) if whole else "\n".join(map(encode, batch)), cb)
+        if decoded != (text, []):
+            outcomes = splice([encode(line) for line in batch], decoded, cb, "strict")
+            for offset, (line, out) in enumerate(zip(batch, outcomes), total):
+                if isinstance(out, TranslitError) or out.text != line:
+                    failures += 1
+                    if first is None:
+                        first = offset
         total += len(batch)
     return RoundtripReport(total, failures, first)

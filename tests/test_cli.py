@@ -188,6 +188,29 @@ def test_decode_of_a_codebook_with_five_letter_codes(tmp_path):
     assert out.startswith("\u0f40\u0f41 \u0f42\u0f0b\u0f43a@b\n".encode("utf-8"))
 
 
+def test_decode_of_five_letter_codes_scans_only_their_lines(tmp_path, monkeypatch):
+    # The input of the test above: every line holds a five-letter code, so the
+    # kernel marks each, and only the scan decodes them, once per line.
+    from translitkit import kernel
+
+    codes = ["B", "Babcd", "C", "Qwxyz"]
+    cb = codebook.Codebook([codebook.CodebookEntry(0x0F40 + i, c, i + 1, 0) for i, c in enumerate(codes)], "basic")
+    codebook.save_path(cb, str(tmp_path / "cb.tsv"))
+    data = ("BBabcd C་Qwxyz@a@@b@\n" * 5000).encode("utf-8")
+    expected = from_latin(data.decode("utf-8"), cb).encode("utf-8")
+    blocks = list(textio.read_blocks(io.BytesIO(data), "<stdin>"))
+    assert len(blocks) > 1
+    calls, scans = [], []
+    real_lines, real_scan = kernel.kernel_lines, translit.scan_decode
+    monkeypatch.setattr(kernel, "kernel_lines", lambda enc, cb: calls.append(enc) or real_lines(enc, cb))
+    monkeypatch.setattr(translit, "scan_decode", lambda enc, *args: scans.append(enc) or real_scan(enc, *args))
+    monkeypatch.setattr(translit, "decode", lambda *args: pytest.fail("translit.decode was called"))
+    code, out = _pipe(["decode", "--codebook", str(tmp_path / "cb.tsv")], data)
+    assert (code, out) == (0, expected)
+    assert calls == blocks
+    assert scans == ["BBabcd C་Qwxyz@a@@b@"] * 5000
+
+
 def test_verify_reports_zero_failures(workspace, capsys):
     root, _, _ = workspace
     assert main(["verify", str(root / "corpus.txt"), "--codebook", str(root / "cb.tsv")]) == 0

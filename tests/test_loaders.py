@@ -253,6 +253,17 @@ def test_a_codebook_row_loads_only_as_save_writes_it(files, capsys, row, message
     assert capsys.readouterr().err == f"error: FormatError: {path} line 3: {message}\n"
 
 
+def test_a_codebook_rank_is_used_once(files, capsys):
+    # `save` writes each entry's own rank, and no builder gives two entries one rank.
+    path = files("cb.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n# a comment\n0F41\tC\t1\t0\n")
+    assert main(["encode", "--codebook", path]) == 2
+    assert capsys.readouterr().err == f"error: IntegrityError: {path} line 4: rank 1 already used on line 2\n"
+    # The checks before it come first: a row that repeats both a character and a rank names the character.
+    path = files("cb.tsv", "#strategy=basic freq_digest=\n0F40\tB\t1\t0\n0F40\tC\t1\t0\n")
+    assert main(["encode", "--codebook", path]) == 2
+    assert "character U+0F40 already mapped on line 2" in capsys.readouterr().err
+
+
 # --- CRLF and BOM files load to the same objects as plain LF files -------------
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from translitkit import synth
+from translitkit import synth, translit
 from translitkit.codebook import build_basic
 from translitkit.errors import StageError
 from translitkit.langid import LangIdModel, TrainingParams, train
@@ -146,6 +146,43 @@ def test_batch_isolates_a_line_that_fails_to_restore(models, rng):
     assert finals[:3] + finals[4:] == lines[:3] + lines[4:]
     assert [trace.restored for trace in traces] == [True, True, False, False, True, True]
     assert all(trace.error is None for i, trace in enumerate(traces) if i != 3)
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("garble, strict_error, lenient_error", [
+    ("Z", "DecodeError: unknown code segment 'Z'", None),  # an unknown code, which lenient mode passes through
+    (" q", "FormatError: stray lowercase letter 'q'", "FormatError: stray lowercase letter 'q'"),
+    ("@q", "FormatError: unterminated '@' run", "FormatError: unterminated '@' run"),
+], ids=["unknown-code", "stray-lowercase", "unterminated-run"])
+def test_batch_scans_only_the_garbled_stage_output(
+    models, rng, monkeypatch, mode, garble, strict_error, lenient_error
+):
+    cb, input_model, output_model = models
+    assert "Z" not in cb.code_to_char  # the default profile never uses it
+    lines = [synth.script_line(rng, tag) for tag in ("bo", "mn", "ug") * 10]
+    bad = to_latin(lines[13], cb)
+    pl = Pipeline(cb, input_model, output_model, decode_mode=mode)
+    # An identity stage but for one line, which comes back with `garble` after it.
+    monkeypatch.setattr(pl, "_run_stage", lambda text: text + garble if text == bad else text)
+    scans = []
+    real = translit.scan_decode
+    monkeypatch.setattr(translit, "scan_decode", lambda enc, cb, mode: scans.append(enc) or real(enc, cb, mode))
+    results = list(pl.batch(lines))
+    assert scans == [bad + garble]
+    final, trace = results[13]
+    assert trace.output_label in LOW_RESOURCE_TAGS and trace.output_confidence >= 0.5  # so it is restored
+    error = strict_error if mode == "strict" else lenient_error
+    if error:
+        assert trace.error.startswith(error) and not trace.restored
+        assert final == bad + garble
+    else:
+        assert trace.error is None and trace.restored
+        assert final == lines[13] + garble
+        assert f"offset {len(bad)}: unknown code segment 'Z'" in trace.warnings
+    for i, (final, trace) in enumerate(results):
+        if i != 13:
+            assert final == lines[i] and trace.restored and trace.error is None
+            assert all(w.startswith("classifier disagreement") for w in trace.warnings)
 
 
 @pytest.mark.parametrize(

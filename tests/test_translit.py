@@ -276,8 +276,12 @@ def test_verify_roundtrip_counts_translit_errors_and_lets_bugs_escape(default_co
 
         return decode
 
-    # Send every batch to the per-line scalar scan, whose errors verify counts.
-    monkeypatch.setattr(kernel_mod, "kernel_decode", lambda enc, cb: None)
+    def mark_every_line(enc, cb):
+        ends = enc.count("\n")
+        return "\n" * ends, list(range(ends + 1))
+
+    # The kernel marks every line, so each goes to the scalar scan, whose errors verify counts.
+    monkeypatch.setattr(kernel_mod, "kernel_lines", mark_every_line)
     monkeypatch.setattr(translit_mod, "scan_decode", failing(DecodeError("no match")))
     report = verify_roundtrip(["ཀ", "ཁ"], default_codebook)
     assert (report.total, report.failures, report.first_failure_offset) == (2, 2, 0)
@@ -379,16 +383,46 @@ def test_strict_scan_agrees_with_the_reference_on_text_and_errors(name, data, de
 NEWLINE_CB = build_basic([0x0F40, 0x0A, 0x0D])  # '\n' -> "C", '\r' -> "D"
 
 
+def _good_lines(cb: Codebook, n: int) -> list[str]:
+    """`n` encodings of text with '@' runs, codes and passthrough, the same on every call."""
+    rng = random.Random(n)
+    alphabet = "ab@Z ·😀" + "".join(map(chr, cb.char_to_code))
+    return [to_latin("".join(rng.choices(alphabet, k=rng.randint(0, 30))), cb) for _ in range(n)]
+
+
 @pytest.mark.parametrize("name", ["default", "long", "sparse", "newline"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_decode_lines_matches_decode_line_by_line(name, data, default_codebook):
     cb = {"default": default_codebook, "long": LONG_CB, "sparse": SPARSE_CB, "newline": NEWLINE_CB}[name]
     encoded = data.draw(st.lists(_encoded(cb), max_size=8))
+    if data.draw(st.booleans()):  # the drawn lines, good or bad, among several hundred good ones
+        lines = _good_lines(cb, 300)
+        for enc in encoded:
+            lines.insert(data.draw(st.integers(0, len(lines))), enc)
+        encoded = lines
     for mode in MODES:
         outcomes = decode_lines(encoded, cb, mode)
         assert len(outcomes) == len(encoded)
         assert [_as_outcome(out) for out in outcomes] == [_outcome(enc, cb, mode, decode) for enc in encoded]
+
+
+@pytest.mark.parametrize("name", ["default", "long", "sparse", "newline"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_lines_decodes_each_line_as_its_own_pass_would(name, data, default_codebook):
+    cb = {"default": default_codebook, "long": LONG_CB, "sparse": SPARSE_CB, "newline": NEWLINE_CB}[name]
+    line = _encoded(cb).map(lambda enc: enc.replace("\n", ""))
+    # A line with an odd count of '@'s in front of a good line that holds '@' runs.
+    odd = line.map(lambda enc: enc if enc.count("@") % 2 else enc + "@")
+    runs = st.text("ab@Z ཀ", max_size=8).map(lambda text: to_latin(text, cb))
+    parts = data.draw(st.lists(line | st.tuples(odd, runs).map("\n".join), max_size=10))
+    lines = "\n".join(parts).split("\n")
+    text, bad = kernel.kernel_lines("\n".join(lines), cb)
+    own = [kernel_decode(enc, cb) for enc in lines]
+    assert bad == [i for i, out in enumerate(own) if out is None]
+    assert text.split("\n") == ["" if out is None else out for out in own]
+    assert all(out == scan_decode(enc, cb).text for enc, out in zip(lines, own) if out is not None)
 
 
 def test_decode_lines_of_no_lines_is_empty(default_codebook):
@@ -523,8 +557,8 @@ def test_verify_roundtrip_names_failing_lines_in_batches(default_codebook, monke
 def test_verify_roundtrip_runs_the_kernel_once_a_batch(newline_cb, default_codebook, monkeypatch):
     cb = NEWLINE_CB if newline_cb else default_codebook
     calls = []
-    real = kernel.kernel_decode
-    monkeypatch.setattr(kernel, "kernel_decode", lambda enc, cb: calls.append(len(enc)) or real(enc, cb))
+    real = kernel.kernel_lines
+    monkeypatch.setattr(kernel, "kernel_lines", lambda enc, cb: calls.append(len(enc)) or real(enc, cb))
     monkeypatch.setattr(translit, "translator", _corrupting(translit.translator))
     lines = ["ཀ"] * 80_000
     lines[40_000] = "\x01"  # fails the block check of its batch
