@@ -130,19 +130,22 @@ def cmd_decode(args) -> int:
     def fn(block: str, lineno: int) -> Iterator[str]:
         nonlocal warnings_total
         text, bad = kernel.kernel_lines(block, cb)
-        if not bad:
-            yield text
-            return
-        # A marked line is scanned with its '\r', which passes through.
-        outcomes = translit.splice(block.split("\n"), (text, bad), cb, args.mode)
-        last = lineno + len(outcomes) - 1  # the text after the block's last '\n'
-        for n, out in enumerate(outcomes, lineno):
-            if isinstance(out, TranslitError):
-                raise type(out)(f"{STDIN} line {n}: {out}", offset=out.offset) from None
-            warnings_total += len(out.warnings)
-            for w in out.warnings:
-                log.warning("%s line %d: %s", STDIN, n, w)
-            yield out.text if n == last else out.text + "\n"
+        if bad:
+            # Each marked line's scan takes its place in the kernel's text; it
+            # is scanned with its '\r', which passes through.
+            encoded, pieces = block.split("\n"), text.split("\n")
+            for i in bad:
+                try:
+                    out = translit.scan_decode(encoded[i], cb, args.mode)
+                except TranslitError as exc:
+                    yield "".join(piece + "\n" for piece in pieces[:i])
+                    raise type(exc)(f"{STDIN} line {lineno + i}: {exc}", offset=exc.offset) from None
+                pieces[i] = out.text
+                warnings_total += len(out.warnings)
+                for w in out.warnings:
+                    log.warning("%s line %d: %s", STDIN, lineno + i, w)
+            text = "\n".join(pieces)
+        yield text
 
     _filter(fn)
     if warnings_total:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, BinaryIO, Iterable
 
 from . import textio
-from .codespace import CodeSpaceProfile, DEFAULT_PROFILE, enumerate_codes, is_valid_code
-from .errors import CapacityError, ConfigError, FormatError, IntegrityError
+from .codespace import CodeSpaceProfile, DEFAULT_PROFILE, check_capacity, enumerate_codes, is_valid_code
+from .errors import ConfigError, FormatError, IntegrityError
 
 if TYPE_CHECKING:  # the model is passed in; encode and decode never load bpe
     from .bpe import BpeModel
@@ -35,6 +35,16 @@ def check_code_point(cp: int, cell: str, where: str) -> None:
         raise FormatError(f"{where}: code point {cell!r} out of range")
     if 0xD800 <= cp <= 0xDFFF:
         raise FormatError(f"{where}: code point U+{cp:04X} is a surrogate")
+
+
+def check_decimal(cell: str, n: int, least: int, what: str, where: str) -> None:
+    """Raise FormatError, prefixed with `where`, unless `cell` is `str(n)` and `n` is at least `least`.
+
+    A number read from `cell` by `int` may also carry a sign, spaces, leading
+    zeros or '_'; only the decimal that `str` writes re-saves as itself.
+    """
+    if cell != str(n) or n < least:
+        raise FormatError(f"{where}: {what} {cell!r} is not a decimal of {least} or more")
 
 
 @dataclass(frozen=True)
@@ -125,12 +135,7 @@ def build_tokenizer_optimized(
         raise ConfigError("tokenizer-optimized build requires a BPE model")
     chars = list(chars)
     _check_chars(chars)
-    total = profile.total_slots()
-    if len(chars) > total:
-        raise CapacityError(
-            f"requested {len(chars)} codes but the profile holds at most {total} "
-            f"(max_len={profile.max_len})"
-        )
+    check_capacity(profile, len(chars))
     if not chars:
         return Codebook([], strategy, source_digest)
     singles = _single_token_codes(profile, model)
@@ -227,10 +232,8 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
         # Each number as `save` writes it, so that a row re-saves as itself.
         if cols[0] != f"{cp:04X}":
             raise FormatError(f"{name} line {lineno}: code point {cols[0]!r} is not written as {cp:04X}")
-        if cols[2] != str(rank) or rank < 1:
-            raise FormatError(f"{name} line {lineno}: rank {cols[2]!r} is not a decimal of 1 or more")
-        if cols[3] != str(token_count) or token_count < 0:
-            raise FormatError(f"{name} line {lineno}: token count {cols[3]!r} is not a decimal of 0 or more")
+        check_decimal(cols[2], rank, 1, "rank", f"{name} line {lineno}")
+        check_decimal(cols[3], token_count, 0, "token count", f"{name} line {lineno}")
         code = cols[1]
         if not is_valid_code(code):
             raise FormatError(f"{name} line {lineno}: invalid code {code!r}")

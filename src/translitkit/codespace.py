@@ -108,18 +108,19 @@ FULL_PROFILE = CodeSpaceProfile(
 )
 
 
-def enumerate_codes(profile: CodeSpaceProfile, count: int) -> list[str]:
-    """First `count` codes of `profile` in canonical order.
-
-    Raises CapacityError naming the ceiling when `count` exceeds what the
-    profile can provide.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+def check_capacity(profile: CodeSpaceProfile, count: int) -> None:
+    """Raise CapacityError naming the ceiling when `count` exceeds what `profile` can provide."""
     total = profile.total_slots()
     if count > total:
         raise CapacityError(
             f"requested {count} codes but the profile holds at most {total} "
             f"(max_len={profile.max_len})"
         )
+
+
+def enumerate_codes(profile: CodeSpaceProfile, count: int) -> list[str]:
+    """First `count` codes of `profile` in canonical order; see `check_capacity`."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    check_capacity(profile, count)
     return list(itertools.islice(profile.iter_codes(), count))

@@ -8,6 +8,7 @@ the ranges file takes any key, because each of its keys names a script.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from . import textio
@@ -133,32 +134,32 @@ def load_ranges(path: str) -> list[ScriptRange]:
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
+    """A path key `k` sets `k_path`, resolved against the file's directory; the first
+    three are required. Any other key is a `PipelineSettings` field, read as its
+    type: a number for a float, None for an empty value where None is allowed.
+    A setting the file omits keeps its default.
+    """
     from .pipeline import PipelineConfig
 
     pairs = load_kv(path)
     _check_keys(pairs, _PIPELINE_KEYS, path)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(key: str) -> str | None:
-        value = pairs.get(key)
-        if not value:
-            return None
-        return value if os.path.isabs(value) else os.path.join(base, value)
-
-    for required in ("codebook", "input_model", "output_model"):
+    for required in _PIPELINE_KEYS[:3]:
         if not pairs.get(required):
             raise ConfigError(f"{path}: missing required key {required!r}")
+    base = os.path.dirname(os.path.abspath(path))
+    types = {f.name: str(f.type) for f in fields(PipelineConfig)}
+    kwargs: dict[str, object] = {}
+    for key, value in pairs.items():
+        if key not in types:  # a path key
+            kwargs[f"{key}_path"] = os.path.join(base, value) if value else None
+        elif not value and "None" in types[key]:
+            kwargs[key] = None
+        elif "float" in types[key]:
+            kwargs[key] = _get_float(pairs, key, None, path)
+        else:
+            kwargs[key] = value
     try:
-        return PipelineConfig(
-            codebook_path=resolve("codebook"),
-            input_model_path=resolve("input_model"),
-            output_model_path=resolve("output_model"),
-            model_stage=pairs.get("model_stage", "identity"),
-            model_command=pairs.get("model_command") or None,
-            decode_mode=pairs.get("decode_mode", "strict"),
-            confidence_threshold=_get_float(pairs, "confidence_threshold", 0.5, path),
-            pinyin_transform_path=resolve("pinyin_transform"),
-        )
+        return PipelineConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

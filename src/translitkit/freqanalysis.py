@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable
 
 from . import textio
-from .codebook import check_code_point
+from .codebook import check_code_point, check_decimal
 from .errors import ConfigError, FormatError, IntegrityError
 
 OTHER = "other"
@@ -140,22 +140,23 @@ def read_tsv(src: BinaryIO, name: str = "<frequency tsv>") -> FrequencyTable:
                 names = line[len("#scripts=") :]
                 scripts = frozenset(n for n in names.split(",") if n)
             continue
+        where = f"{name} line {lineno}"
         fields = line.split("\t")
         if len(fields) != 4:
-            raise FormatError(f"{name} line {lineno}: expected 4 tab-separated fields")
+            raise FormatError(f"{where}: expected 4 tab-separated fields")
         try:
             cp = int(fields[0])
-            hexval = int(fields[1].removeprefix("U+"), 16)
             count = int(fields[3])
         except ValueError as exc:
-            raise FormatError(f"{name} line {lineno}: {exc}") from exc
-        check_code_point(cp, fields[0], f"{name} line {lineno}")
-        if hexval != cp:
-            raise FormatError(f"{name} line {lineno}: hex column U+{hexval:04X} != codepoint {cp}")
-        if count <= 0:
-            raise FormatError(f"{name} line {lineno}: count must be positive")
+            raise FormatError(f"{where}: {exc}") from exc
+        # Each cell as `write_tsv` writes it, so that a row re-saves as itself.
+        check_code_point(cp, fields[0], where)
+        check_decimal(fields[0], cp, 0, "code point", where)
+        if fields[1] != f"U+{cp:04X}":
+            raise FormatError(f"{where}: hex column {fields[1]!r} is not U+{cp:04X}")
+        check_decimal(fields[3], count, 1, "count", where)
         if cp in counts:
-            raise IntegrityError(f"{name} line {lineno}: duplicate codepoint U+{cp:04X}")
+            raise IntegrityError(f"{where}: duplicate codepoint U+{cp:04X}")
         counts[cp] = count
         script_of[cp] = fields[2]
     scripts = scripts | frozenset(s for s in script_of.values() if s != OTHER)

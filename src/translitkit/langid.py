@@ -189,6 +189,8 @@ def train(
     stray = seen - set(label_list)
     if stray:
         raise TrainingError(f"examples carry labels outside the label set: {sorted(stray)}")
+    if "" in label_list or len(set(label_list)) != len(label_list):  # as `load_model` asks
+        raise TrainingError(f"labels must be a list of distinct non-empty strings, got {label_list!r}")
     lo, hi = params.ngram_range
     n_labels = len(label_list)
     try:
@@ -371,5 +373,7 @@ def read_labeled(path: str) -> list[tuple[str, str]]:
         if not line.startswith("__label__") or "\t" not in line:
             raise FormatError(f"{path} line {lineno}: expected '__label__<tag>\\t<text>'")
         tag, text = line.split("\t", 1)
+        if tag == "__label__":
+            raise FormatError(f"{path} line {lineno}: empty tag in '__label__<tag>\\t<text>'")
         examples.append((text, tag[len("__label__") :]))
     return examples

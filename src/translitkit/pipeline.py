@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from . import codebook as codebook_mod
@@ -25,33 +25,35 @@ LOW_RESOURCE_TAGS = frozenset({"bo", "mn", "ug"})
 MODEL_STAGES = ("identity", "external")
 
 
-def _check_settings(
-    model_stage: str, model_command: str | None, decode_mode: str, confidence_threshold: float
-) -> None:
-    """Raise ValueError on a pipeline setting out of range."""
-    if not 0.0 <= confidence_threshold <= 1.0:
-        raise ValueError(f"confidence_threshold must be in [0,1], got {confidence_threshold}")
-    if model_stage not in MODEL_STAGES:
-        raise ValueError(f"model_stage must be one of {MODEL_STAGES}, got {model_stage!r}")
-    if model_stage == "external" and not model_command:
-        raise ValueError("model_stage 'external' requires model_command")
-    if decode_mode not in translit.MODES:
-        raise ValueError(f"decode_mode must be one of {translit.MODES}")
+@dataclass(kw_only=True)
+class PipelineSettings:
+    """The settings of a pipeline run, each with its default and its range."""
 
-
-@dataclass
-class PipelineConfig:
-    codebook_path: str
-    input_model_path: str
-    output_model_path: str
     model_stage: str = "identity"
     model_command: str | None = None
     decode_mode: str = "strict"
     confidence_threshold: float = 0.5
-    pinyin_transform_path: str | None = None
 
     def __post_init__(self):
-        _check_settings(self.model_stage, self.model_command, self.decode_mode, self.confidence_threshold)
+        if not 0.0 <= self.confidence_threshold <= 1.0:
+            raise ValueError(f"confidence_threshold must be in [0,1], got {self.confidence_threshold}")
+        if self.model_stage not in MODEL_STAGES:
+            raise ValueError(f"model_stage must be one of {MODEL_STAGES}, got {self.model_stage!r}")
+        if self.model_stage == "external" and not self.model_command:
+            raise ValueError("model_stage 'external' requires model_command")
+        if self.decode_mode not in translit.MODES:
+            raise ValueError(f"decode_mode must be one of {translit.MODES}")
+
+
+@dataclass
+class PipelineConfig(PipelineSettings):
+    """The files a pipeline loads, by path, and its settings."""
+
+    codebook_path: str
+    input_model_path: str
+    output_model_path: str
+    _: KW_ONLY
+    pinyin_transform_path: str | None = None
 
 
 @dataclass
@@ -59,10 +61,10 @@ class PipelineTrace:
     input_label: str
     input_confidence: float
     encoded: bool
-    model_stage_output: str
-    output_label: str
-    output_confidence: float
-    restored: bool
+    model_stage_output: str = ""
+    output_label: str = ""
+    output_confidence: float = 0.0
+    restored: bool = False
     warnings: list[str] = field(default_factory=list)
     error: str | None = None
 
@@ -70,31 +72,19 @@ class PipelineTrace:
         return json.dumps(dataclasses.asdict(self), ensure_ascii=False)
 
 
-class Pipeline:
-    def __init__(
-        self,
-        codebook: Codebook,
-        input_model: LangIdModel,
-        output_model: LangIdModel,
-        *,
-        model_stage: str = "identity",
-        model_command: str | None = None,
-        decode_mode: str = "strict",
-        confidence_threshold: float = 0.5,
-        pinyin_transform: Mapping[int, str] | None = None,
-    ):
-        _check_settings(model_stage, model_command, decode_mode, confidence_threshold)
-        self.codebook = codebook
-        self.input_model = input_model
-        self.output_model = output_model
-        self.model_stage = model_stage
-        self.model_command = model_command
-        self.decode_mode = decode_mode
-        self.threshold = confidence_threshold
-        self.pinyin_transform = pinyin_transform
-        self._encode = translit.translator(codebook)
+@dataclass(eq=False, repr=False)
+class Pipeline(PipelineSettings):
+    codebook: Codebook
+    input_model: LangIdModel
+    output_model: LangIdModel
+    _: KW_ONLY
+    pinyin_transform: Mapping[int, str] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._encode = translit.translator(self.codebook)
         self._encode_pinyin = (
-            translit.translator(codebook, pinyin_transform) if pinyin_transform else None
+            translit.translator(self.codebook, self.pinyin_transform) if self.pinyin_transform else None
         )
 
     @classmethod
@@ -106,11 +96,8 @@ class Pipeline:
             codebook_mod.load_path(cfg.codebook_path),
             langid.load_model(cfg.input_model_path),
             langid.load_model(cfg.output_model_path),
-            model_stage=cfg.model_stage,
-            model_command=cfg.model_command,
-            decode_mode=cfg.decode_mode,
-            confidence_threshold=cfg.confidence_threshold,
             pinyin_transform=transform,
+            **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(PipelineSettings)},
         )
 
     def _run_stage(self, text: str) -> str:
@@ -147,7 +134,7 @@ class Pipeline:
         warnings: list[str] = []
         work = text
         encoded = False
-        if pred_in.confidence >= self.threshold:
+        if pred_in.confidence >= self.confidence_threshold:
             if pred_in.label in LOW_RESOURCE_TAGS:
                 work = self._encode(text)
                 encoded = True
@@ -156,16 +143,7 @@ class Pipeline:
                 encoded = True
                 warnings.append("pinyin transform applied; output is not restorable")
 
-        trace = PipelineTrace(
-            input_label=pred_in.label,
-            input_confidence=pred_in.confidence,
-            encoded=encoded,
-            model_stage_output="",
-            output_label="",
-            output_confidence=0.0,
-            restored=False,
-            warnings=warnings,
-        )
+        trace = PipelineTrace(pred_in.label, pred_in.confidence, encoded, warnings=warnings)
         try:
             trace.model_stage_output = self._run_stage(work)
         except TranslitError as exc:
@@ -185,7 +163,7 @@ class Pipeline:
             return False
         if trace.encoded and trace.model_stage_output == sent:
             return True
-        return trace.output_label in LOW_RESOURCE_TAGS and trace.output_confidence >= self.threshold
+        return trace.output_label in LOW_RESOURCE_TAGS and trace.output_confidence >= self.confidence_threshold
 
     def _restore(self, trace: PipelineTrace, outcome: translit.DecodeResult | TranslitError) -> str:
         """Record the decode outcome of a restorable line; returns the line's final text."""

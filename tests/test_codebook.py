@@ -76,6 +76,16 @@ def test_build_basic_capacity_error():
         build_basic(chars)
 
 
+
+@pytest.mark.parametrize(
+    "build", [build_basic, lambda chars: build_tokenizer_optimized(chars, model=letter_model(True))]
+)
+def test_every_build_names_the_capacity_alike(build):
+    chars = list(range(0x0F00, 0x0F00 + 178))
+    with pytest.raises(CapacityError) as info:
+        build(chars)
+    assert str(info.value) == "requested 178 codes but the profile holds at most 177 (max_len=2)"
+
 def test_build_rejects_duplicates():
     with pytest.raises(IntegrityError):
         build_basic([0x0F40, 0x0F40])

@@ -185,3 +185,87 @@ def test_script_range_validation():
         ScriptRange("Bad", ((0x10, 0x30), (0x20, 0x40)))
     with pytest.raises(ValueError):
         ScriptRange("other", ((0x10, 0x20),))
+
+
+# --- a row loads only as `write_tsv` writes it ---------------------------------
+
+
+def _tsv(table: FrequencyTable) -> str:
+    buf = io.StringIO()
+    write_tsv(table, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("3_904\tU+0F40\tTibetan\t2", "code point '3_904' is not a decimal of 0 or more"),
+        ("+3904\tU+0F40\tTibetan\t2", "code point '+3904' is not a decimal of 0 or more"),
+        (" 3904\tU+0F40\tTibetan\t2", "code point ' 3904' is not a decimal of 0 or more"),
+        ("03904\tU+0F40\tTibetan\t2", "code point '03904' is not a decimal of 0 or more"),
+        ("3904\tU+0x0F40\tTibetan\t2", "hex column 'U+0x0F40' is not U+0F40"),
+        ("3904\tU+f40\tTibetan\t2", "hex column 'U+f40' is not U+0F40"),
+        ("3904\t0F40\tTibetan\t2", "hex column '0F40' is not U+0F40"),
+        ("3904\tU+0F40\tTibetan\t1_0", "count '1_0' is not a decimal of 1 or more"),
+        ("3904\tU+0F40\tTibetan\t+5", "count '+5' is not a decimal of 1 or more"),
+    ],
+)
+def test_tsv_takes_each_number_only_as_written(tmp_path, capsys, row, message):
+    text = f"#scripts=Tibetan\n3905\tU+0F41\tTibetan\t20\n{row}\n"
+    with pytest.raises(FormatError) as info:
+        read_tsv(io.BytesIO(text.encode()), "freq.tsv")
+    assert str(info.value) == f"freq.tsv line 3: {message}"
+    freq = tmp_path / "freq.tsv"
+    freq.write_text(text, encoding="utf-8")
+    assert main(["build-codebook", "--freq", str(freq), "--strategy", "basic"]) == 2
+    assert capsys.readouterr().err == f"error: FormatError: {freq} line 3: {message}\n"
+
+
+_CODE_POINTS = st.one_of(st.integers(0, 0xD7FF), st.integers(0xE000, 0x10FFFF))
+
+
+@st.composite
+def _tables(draw, min_rows=0):
+    rows = draw(st.dictionaries(
+        _CODE_POINTS, st.tuples(st.integers(1, 10**6), st.sampled_from(["Tibetan", "Mongolian", "other"])),
+        min_size=min_rows, max_size=8,
+    ))
+    script_of = {cp: script for cp, (_, script) in rows.items()}
+    scripts = draw(st.frozensets(st.sampled_from(["Tibetan", "Uyghur"])))
+    scripts |= {script for script in script_of.values() if script != "other"}
+    return FrequencyTable({cp: n for cp, (n, _) in rows.items()}, script_of, scripts)
+
+
+@given(table=_tables())
+def test_tsv_reads_back_what_it_wrote(table):
+    assert read_tsv(io.BytesIO(_tsv(table).encode())) == table
+
+
+def _respellings(cell: str):
+    """`cell` with a sign, space, '_', '0' or '0x' put in, lowercased or without its 'U+'."""
+    insert = st.tuples(st.integers(0, len(cell)), st.sampled_from(["_", "+", "-", " ", "0", "0x"]))
+    return st.one_of(
+        insert.map(lambda t: cell[: t[0]] + t[1] + cell[t[0] :]),
+        st.just(cell.lower()),
+        st.just(cell.removeprefix("U+")),
+    )
+
+
+@given(table=_tables(min_rows=1), data=st.data())
+def test_tsv_with_a_cell_changed_fails_at_its_line_or_resaves_as_written(table, data):
+    """A changed number cell is a FormatError naming its line, or its row re-saves as itself.
+
+    A changed count may move its row, so the re-saved lines are compared as a multiset.
+    """
+    lines = _tsv(table).split("\n")  # the header, the rows and "" after the last '\n'
+    row = data.draw(st.integers(1, len(lines) - 2))
+    cells = lines[row].split("\t")
+    col = data.draw(st.sampled_from([0, 1, 3]))
+    cells[col] = data.draw(st.one_of(_respellings(cells[col]), st.text("0123456789ABCDEFabcdefU+x_- ", max_size=8)))
+    lines[row] = "\t".join(cells)
+    try:
+        loaded = read_tsv(io.BytesIO("\n".join(lines).encode()), "freq.tsv")
+    except FormatError as exc:
+        assert str(exc).startswith(f"freq.tsv line {row + 1}: ")
+        return
+    assert sorted(_tsv(loaded).split("\n")) == sorted(lines)

@@ -385,6 +385,24 @@ def test_read_labeled_lines_end_only_at_newline(tmp_path):
         read_labeled(str(bad))
 
 
+
+def test_langid_train_rejects_an_empty_tag_with_exit_2(tmp_path, capsys):
+    labeled = tmp_path / "train.txt"
+    labeled.write_text("__label__en\thello world\n__label__\thello there\n", encoding="utf-8")
+    out = tmp_path / "model.lid"
+    assert main(["langid-train", str(labeled), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: FormatError: {labeled} line 2: empty tag in '__label__<tag>\\t<text>'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", [None, ["", "aa", "xx"], ["aa", "xx", "aa"]])
+def test_train_rejects_a_label_set_that_load_model_would(labels):
+    examples = toy_examples() + ([("hello there", "")] if labels is None else [])
+    with pytest.raises(TrainingError, match="labels must be a list of distinct non-empty strings"):
+        langid.train(examples, TrainingParams(epochs=1, min_count=1), labels, hash_buckets=256)
+
 def test_presets_match_recorded_hyperparameters():
     inp = TrainingParams.input_defaults()
     out = TrainingParams.output_defaults()

@@ -287,3 +287,56 @@ def test_from_config_loads_everything(tmp_path, models):
     text = "ཀཁགངཅཆཇཉཏཐདན"
     final, trace = pl.process(text)
     assert final == text
+
+
+def _settings(obj) -> dict:
+    """The settings of a Pipeline or PipelineConfig by name."""
+    import dataclasses
+
+    from translitkit.pipeline import PipelineSettings
+
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(PipelineSettings)}
+
+
+def test_a_config_of_only_the_paths_loads_the_default_settings(tmp_path, models):
+    import translitkit.codebook as codebook_mod
+    from translitkit.config import load_pipeline_config
+    from translitkit.langid import save_model
+
+    cb, input_model, output_model = models
+    codebook_mod.save_path(cb, str(tmp_path / "cb.tsv"))
+    save_model(input_model, str(tmp_path / "in.lid"))
+    save_model(output_model, str(tmp_path / "out.lid"))
+    path = tmp_path / "p.cfg"
+    path.write_text("codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\n", encoding="utf-8")
+    pl = Pipeline.from_config(load_pipeline_config(str(path)))
+    assert _settings(pl) == _settings(Pipeline(cb, input_model, output_model)) == {
+        "model_stage": "identity", "model_command": None, "decode_mode": "strict", "confidence_threshold": 0.5,
+    }
+    assert pl.pinyin_transform is None
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("confidence_threshold", 7.0),
+        ("confidence_threshold", -0.1),
+        ("model_stage", "banana"),
+        ("model_stage", "external"),
+        ("decode_mode", "loose"),
+    ],
+)
+def test_a_bad_setting_fails_alike_in_pipeline_config_and_a_config_file(tmp_path, capsys, models, key, value):
+    from translitkit.cli import main
+
+    cb, input_model, output_model = models
+    with pytest.raises(ValueError) as from_pipeline:
+        Pipeline(cb, input_model, output_model, **{key: value})
+    with pytest.raises(ValueError) as from_config:
+        PipelineConfig("cb", "in", "out", **{key: value})
+    assert str(from_pipeline.value) == str(from_config.value)
+    # The settings are checked before any file is read, so the paths need not exist.
+    path = tmp_path / "p.cfg"
+    path.write_text(f"codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\n{key} = {value}\n")
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {path}: {from_config.value}\n"
