@@ -49,7 +49,7 @@ $TK stats "$WORK/corpus.txt" "$WORK/encoded.txt" --bpe "$WORK/bpe" \
 $TK stats "$WORK/corpus.txt" "$WORK/encoded.txt" --bpe "$WORK/bpe" \
     --codebook "$WORK/codebook.tsv" --lang mixed --human
 
-$PY "$HERE/scripts/make_demo_corpus.py" --out "$WORK" --lines 10 --per-label 600 --seed 7 \
+$PY "$HERE/scripts/make_demo_corpus.py" --out "$WORK" --lines 2000 --per-label 600 --seed 7 \
     --codebook "$WORK/codebook.tsv"
 cat > "$WORK/lid-input.cfg" <<'EOF'
 preset = input

@@ -47,10 +47,13 @@ class BpeModel:
             dupes = [t for t, n in Counter(self.vocab).items() if n > 1]
             raise FormatError(f"duplicate vocab entries: {dupes[:5]!r}")
         self._vocab_set = frozenset(self.vocab)
-        for a, b in self.merges:
+        self._ranks = {}
+        for rank, (a, b) in enumerate(self.merges):
             if a + b not in self._vocab_set:
                 raise FormatError(f"merge result {a + b!r} missing from vocab")
-        self._ranks = {pair: i for i, pair in enumerate(self.merges)}
+            first = self._ranks.setdefault((a, b), rank)
+            if first != rank:
+                raise FormatError(f"merge {f'{a} {b}'!r} listed twice, at ranks {first} and {rank}")
         self._word_cache = {}
 
     def tokenize(self, text: str) -> list[str]:
@@ -66,63 +69,58 @@ class BpeModel:
         return out
 
     def _tokenize_word(self, word: str) -> tuple[str, ...]:
+        """Apply the merges by rank, each at every site of its pair left to right.
+
+        The symbols form a linked list (`nxt`, `prv`; a merged-away symbol is
+        None) and a heap holds `(rank, left position)` for each adjacent pair
+        that has a rank. A round pops every entry of the lowest rank, merges
+        the ones whose pair is still there, and only then pushes the pairs the
+        merges made: a new pair may rank lower than the round's, and pushing it
+        at once would merge it before the round's later sites.
+        """
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
-        syms: list[str] = []
+        syms: list[str | None] = []
         for ch in word:
             if self.byte_fallback and ch not in self._vocab_set:
                 syms.extend(_byte_tokens(ch))
             else:
                 syms.append(ch)
         ranks = self._ranks
-        while len(syms) > 1:
-            best_rank = None
-            best_pair = None
-            for pair in zip(syms, syms[1:]):
-                r = ranks.get(pair)
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank, best_pair = r, pair
-            if best_pair is None:
-                break
-            syms = _merge_pair(syms, best_pair)
+        heap = [(r, i) for i, pair in enumerate(zip(syms, syms[1:])) if (r := ranks.get(pair)) is not None]
+        if heap:
+            heapq.heapify(heap)
+            n = len(syms)
+            nxt = list(range(1, n + 1))  # n: no right neighbour
+            prv = list(range(-1, n - 1))  # -1: no left neighbour
+            while heap:
+                rank = heap[0][0]
+                a, b = self.merges[rank]
+                ab = a + b
+                merged = []
+                while heap and heap[0][0] == rank:
+                    i = heapq.heappop(heap)[1]
+                    j = nxt[i]
+                    if syms[i] == a and j < n and syms[j] == b:  # else stale
+                        syms[i] = ab
+                        syms[j] = None
+                        nxt[i] = k = nxt[j]
+                        if k < n:
+                            prv[k] = i
+                        merged.append(i)
+                for i in merged:
+                    p = prv[i]
+                    if p >= 0 and (r := ranks.get((syms[p], ab))) is not None:
+                        heapq.heappush(heap, (r, p))
+                    k = nxt[i]
+                    if k < n and (r := ranks.get((ab, syms[k]))) is not None:
+                        heapq.heappush(heap, (r, i))
+            syms = [s for s in syms if s is not None]
         result = tuple(syms)
         if len(self._word_cache) < _CACHE_CAP:
             self._word_cache[word] = result
         return result
-
-
-def _merge_pair(syms: list[str], pair: tuple[str, str], sites: list[int] | None = None) -> list[str]:
-    """Replace every non-overlapping occurrence of `pair`, left to right.
-
-    If `sites` is a list, the index in `syms` of each replaced occurrence is appended to it.
-    """
-    a, b = pair
-    out: list[str] = []
-    i = 0
-    last = len(syms) - 1
-    while True:
-        try:
-            j = syms.index(a, i, last)
-        except ValueError:
-            break
-        if syms[j + 1] == b:
-            out += syms[i:j]
-            out.append(a + b)
-            if sites is not None:
-                sites.append(j)
-            i = j + 2
-        else:
-            out += syms[i : j + 1]
-            i = j + 1
-    out += syms[i:]
-    return out
-
-
-def _pairs_at(syms: list[str], starts: list[int]) -> list[tuple[str, str]]:
-    """The adjacent pairs of `syms` that start at the given indices, skipping those out of range."""
-    last = len(syms) - 1
-    return [(syms[k], syms[k + 1]) for k in set(starts) if 0 <= k < last]
 
 
 def train(corpus, target_vocab: int) -> BpeModel:
@@ -130,16 +128,20 @@ def train(corpus, target_vocab: int) -> BpeModel:
 
     Each step merges the most frequent adjacent pair; ties on frequency break to
     the lexicographically smallest pair, so the result depends only on the
-    corpus. Training is incremental (Sennrich et al. 2016): it keeps the pair
-    counts, an index from each pair to the distinct words that have held it,
-    and a lazy-deletion heap keyed by `(-count, pair)`, whose top is the
-    highest count with the smallest pair. A heap entry whose count no longer
-    matches is stale and skipped. A merge re-merges only the words the index
-    lists for its pair. In each, only the pairs that touch a merged position
-    change: their old pairs leave the counts and their new pairs join them,
-    times the word's frequency. The merges are the same as recounting every
-    pair of every word at each step; the work grows with the pairs a merge
-    changes, not with the corpus.
+    corpus. Training is incremental (Sennrich et al. 2016). Each distinct word
+    is a linked list of symbols in one shared list, and three tables follow the
+    pairs: the count of each pair (times its word's frequency), the sites of
+    each pair (the positions of its left symbol) and a lazy-deletion heap keyed
+    by `(-count, pair)`, whose top is the highest count with the smallest pair.
+    A heap entry whose count no longer matches is stale and skipped.
+
+    A merge visits only its pair's sites, in position order, so each word is
+    merged left to right. A site whose pair is no longer there (an earlier site
+    consumed its symbol, or a merge changed it) is stale and skipped. At a live
+    site, the pairs with the old neighbours leave the counts, the pairs with the
+    new symbol join them and the sites index, and the list is relinked. The
+    merges are the same as recounting every pair of every word at each step;
+    the work grows with the sites a merge visits, not with the corpus.
     """
     words: Counter[str] = Counter()
     ws_runs: set[str] = set()
@@ -160,42 +162,66 @@ def train(corpus, target_vocab: int) -> BpeModel:
         )
     vocab = list(alphabet)
     merges: list[tuple[str, str]] = []
-    seqs = [list(w) for w in words]
-    freqs = list(words.values())
+    syms: list[str | None] = []  # a merged-away symbol is None
+    freq: list[int] = []  # the frequency of each symbol's word
+    nxt: list[int] = []  # -1 at a word's last symbol
+    prv: list[int] = []  # -1 at a word's first symbol
     counts: Counter[tuple[str, str]] = Counter()
-    where: dict[tuple[str, str], set[int]] = defaultdict(set)
-    for i, syms in enumerate(seqs):
-        for pair, n in Counter(zip(syms, syms[1:])).items():
-            counts[pair] += n * freqs[i]
-            where[pair].add(i)
+    sites: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    for word, f in words.items():
+        start = len(syms)
+        syms += word
+        freq += [f] * len(word)
+        nxt += range(start + 1, len(syms))
+        nxt.append(-1)
+        prv.append(-1)
+        prv += range(start, len(syms) - 1)
+        for i, pair in enumerate(zip(word, word[1:]), start):
+            counts[pair] += f
+            sites[pair].append(i)
     heap = [(-n, pair) for pair, n in counts.items()]
     heapq.heapify(heap)
     while len(vocab) < target_vocab and heap:
         neg, best = heapq.heappop(heap)
         if counts.get(best) != -neg:
             continue  # stale: the pair's count changed after this entry was pushed
+        a, b = best
+        ab = a + b
         merges.append(best)
-        vocab.append(best[0] + best[1])
-        delta: Counter[tuple[str, str]] = Counter()
-        for i in where.pop(best):
-            syms = seqs[i]
-            sites: list[int] = []
-            merged = seqs[i] = _merge_pair(syms, best, sites)
-            freq = freqs[i]
-            # The s-th merge site j spans old positions j, j + 1 and new position j - s.
-            for pair in _pairs_at(syms, [k for j in sites for k in (j - 1, j, j + 1)]):
-                delta[pair] -= freq
-            for pair in _pairs_at(merged, [k for s, j in enumerate(sites) for k in (j - s - 1, j - s)]):
-                delta[pair] += freq
-                where[pair].add(i)
+        vocab.append(ab)
+        del counts[best]
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
+        for i in sorted(sites.pop(best)):
+            j = nxt[i]
+            if syms[i] != a or j < 0 or syms[j] != b:
+                continue  # stale site
+            f = freq[i]
+            p = prv[i]
+            if p >= 0:
+                left = syms[p]
+                delta[left, a] -= f
+                delta[left, ab] += f
+                sites[left, ab].append(p)
+            k = nxt[j]
+            if k >= 0:
+                right = syms[k]
+                delta[b, right] -= f
+                delta[ab, right] += f
+                sites[ab, right].append(i)
+                prv[k] = i
+            nxt[i] = k
+            syms[i] = ab
+            syms[j] = None
+        delta.pop(best, None)  # (b, right) is the merged pair when a == b == right
         for pair, d in delta.items():
-            if d:
-                n = counts[pair] + d
-                if n:
+            n = counts[pair] + d
+            if n:
+                if d:
                     counts[pair] = n
                     heapq.heappush(heap, (-n, pair))
-                else:
-                    del counts[pair]
+            else:  # the pair is gone, and every site listed for it is stale
+                counts.pop(pair, None)
+                sites.pop(pair, None)
     return BpeModel(vocab, merges)
 
 
@@ -255,12 +281,14 @@ def load_model(dirpath: str, byte_fallback: bool = False) -> BpeModel:
     if not os.path.isfile(vocab_path) or not os.path.isfile(merges_path):
         raise ConfigError(f"{dirpath}: expected vocab.txt and merges.txt")
     vocab = [token for token, _ in textio.read_file(vocab_path) if token]
-    merges = []
+    line_of: dict[tuple[str, str], int] = {}  # each merge, in order, and its line
     for lineno, (line, _) in enumerate(textio.read_file(merges_path), start=1):
         if not line:
             continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise FormatError(f"{merges_path} line {lineno}: expected two space-separated symbols")
-        merges.append((parts[0], parts[1]))
-    return BpeModel(vocab, merges, byte_fallback)
+        first = line_of.setdefault((parts[0], parts[1]), lineno)
+        if first != lineno:
+            raise FormatError(f"{merges_path} line {lineno}: merge {line!r} already on line {first}")
+    return BpeModel(vocab, list(line_of), byte_fallback)

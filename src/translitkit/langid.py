@@ -206,19 +206,22 @@ def train(
     # Per example: its buckets, their counts, the counts times the learning rate, its label.
     feats = [(idx, cnt, lr * cnt[:, None], label_idx[lab]) for (idx, cnt), (_, lab) in zip(per_text, data)]
     bias = np.zeros(n_labels)
+    step = np.empty((max((idx.size for idx, _ in per_text), default=0), n_labels))  # the rows' update
     for _ in range(params.epochs):
         for idx, cnt, lr_cnt, y in feats:
             if idx.size:
-                rows = weights[idx]  # an example's buckets are distinct, so the rows scatter back whole
-                scores = bias + cnt @ rows
+                # an example's buckets are distinct, so the rows scatter back whole
+                rows = weights.take(idx, axis=0)
+                p = cnt @ rows
+                p += bias
             else:
-                scores = bias.copy()
-            scores -= scores.max()
-            p = np.exp(scores)
-            p /= p.sum()
+                p = bias.copy()
+            p -= np.maximum.reduce(p)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p)
             p[y] -= 1.0  # p is now the score gradient
             if idx.size:
-                rows -= lr_cnt * p
+                rows -= np.multiply(lr_cnt, p, out=step[: idx.size])
                 weights[idx] = rows
             bias -= lr * p
     return LangIdModel(label_list, (lo, hi), hash_buckets, weights, bias, params)

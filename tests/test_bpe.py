@@ -15,7 +15,7 @@ from translitkit.bpe import (
 )
 from translitkit.errors import ConfigError, FormatError
 
-from reference import naive_tokenize, ref_bpe_train
+from reference import naive_bpe_word, naive_tokenize, ref_bpe_train
 
 
 def test_single_merge():
@@ -75,6 +75,67 @@ def test_tokenize_matches_naive_reference():
             model.merges,
             text,
         )
+
+
+_FALLBACK_BYTES = ["<0xC3>", "<0xA9>"]  # the UTF-8 bytes of "é", which no vocab below holds
+
+
+@st.composite
+def _models_in_any_order(draw, alphabet: str, max_merges: int) -> BpeModel:
+    """A model whose merges come in a random order, so an operand may be the result of a later merge."""
+    pool = list(alphabet) + _FALLBACK_BYTES
+    pairs: list[tuple[str, str]] = []
+    for _ in range(draw(st.integers(0, max_merges))):
+        pair = (draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        if pair not in pairs:
+            pairs.append(pair)
+            pool.append(pair[0] + pair[1])
+    merges = draw(st.permutations(pairs))
+    vocab = list(dict.fromkeys(pool))
+    return BpeModel(vocab, merges, byte_fallback=draw(st.booleans()))
+
+
+def _naive_with_fallback(text: str, model: BpeModel) -> list[str]:
+    """`naive_tokenize`, with each character outside the vocab split into bytes first if the model says so."""
+    if not model.byte_fallback:
+        return naive_tokenize(text, model.merges)
+    out: list[str] = []
+    for i, part in enumerate(re.split(r"(\s+)", text)):
+        if i & 1:
+            out.append(part)
+        elif part:
+            syms = [t for ch in part for t in (_FALLBACK_BYTES if ch == "é" else [ch])]
+            out.extend(naive_bpe_word(syms, model.merges))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_models_in_any_order("abc", 12), text=st.text(st.sampled_from("abcé "), max_size=30))
+@example(model=BpeModel(["a", "b", "ab", "aba"], [("ab", "a"), ("a", "b")]), text="abab")
+def test_tokenize_matches_naive_for_merges_in_any_order(model, text):
+    # With merges (ab, a), (a, b), "abab" is [ab, ab]: rank 1 makes both ab's
+    # before the rank 0 pair (ab, a) that the first of them forms is looked at.
+    assert model.tokenize(text) == _naive_with_fallback(text, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_models_in_any_order("ab", 10), word=st.text(st.sampled_from("ab"), min_size=20, max_size=120))
+@example(model=BpeModel(["a", "b", "aa", "aaaa"], [("aa", "aa"), ("a", "a")]), word="a" * 41)
+def test_tokenize_matches_naive_on_long_words_of_repeated_pairs(model, word):
+    assert model.tokenize(word) == naive_tokenize(word, model.merges)
+
+
+def test_a_merge_listed_twice_is_rejected(tmp_path):
+    # a repeated merge has two ranks, and `naive_tokenize` applies the first
+    with pytest.raises(FormatError, match=re.escape("merge 'a b' listed twice, at ranks 0 and 2")):
+        BpeModel(["a", "b", "c", "ab", "bc"], [("a", "b"), ("b", "c"), ("a", "b")])
+    d = tmp_path / "m"
+    d.mkdir()
+    (d / "vocab.txt").write_text("a\nb\nc\nab\nbc\n", encoding="utf-8")
+    (d / "merges.txt").write_text("a b\n\nb c\na b\n", encoding="utf-8")
+    merges = str(d / "merges.txt")
+    with pytest.raises(FormatError, match=f"^{re.escape(merges)} line 4: merge 'a b' already on line 1$"):
+        load_model(str(d))
 
 
 def test_train_learns_ab_first():

@@ -19,3 +19,11 @@ def test_run_demo_script(tmp_path):
     out = proc.stdout.decode("utf-8").splitlines()
     for check in ("encode|decode", "encode|decode (CRLF)", "pipeline identity"):
         assert f"{check}: byte-identical" in out
+    # The pipeline runs on the first 200 lines of the corpus that `encoded.txt` encodes.
+    demo = tmp_path / "demo"
+    lines = {
+        name: (demo / name).read_bytes().count(b"\n")
+        for name in ("sample.txt", "corpus.txt", "encoded.txt")
+    }
+    assert lines["sample.txt"] == 200
+    assert lines["corpus.txt"] == lines["encoded.txt"]
