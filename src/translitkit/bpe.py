@@ -18,7 +18,6 @@ from .errors import ConfigError, FormatError
 
 _WS_SPLIT = re.compile(r"(\s+)")
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a lone surrogate has no UTF-8 encoding
-_CACHE_CAP = 1 << 20
 
 
 def _byte_tokens(ch: str) -> list[str]:
@@ -40,7 +39,6 @@ class BpeModel:
     byte_fallback: bool = False
     _vocab_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _word_cache: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vocab)) != len(self.vocab):
@@ -54,7 +52,6 @@ class BpeModel:
             first = self._ranks.setdefault((a, b), rank)
             if first != rank:
                 raise FormatError(f"merge {f'{a} {b}'!r} listed twice, at ranks {first} and {rank}")
-        self._word_cache = {}
 
     def tokenize(self, text: str) -> list[str]:
         """Deterministic segmentation: lowest-ranked applicable merge first."""
@@ -78,9 +75,6 @@ class BpeModel:
         merges made: a new pair may rank lower than the round's, and pushing it
         at once would merge it before the round's later sites.
         """
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
         syms: list[str | None] = []
         for ch in word:
             if self.byte_fallback and ch not in self._vocab_set:
@@ -117,10 +111,7 @@ class BpeModel:
                     if k < n and (r := ranks.get((ab, syms[k]))) is not None:
                         heapq.heappush(heap, (r, i))
             syms = [s for s in syms if s is not None]
-        result = tuple(syms)
-        if len(self._word_cache) < _CACHE_CAP:
-            self._word_cache[word] = result
-        return result
+        return tuple(syms)
 
 
 def train(corpus, target_vocab: int) -> BpeModel:

@@ -122,30 +122,24 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    from . import kernel
-
     cb = codebook.load_path(args.codebook)
     warnings_total = 0
 
     def fn(block: str, lineno: int) -> Iterator[str]:
         nonlocal warnings_total
-        text, bad = kernel.kernel_lines(block, cb)
-        if bad:
-            # Each marked line's scan takes its place in the kernel's text; it
-            # is scanned with its '\r', which passes through.
-            encoded, pieces = block.split("\n"), text.split("\n")
-            for i in bad:
-                try:
-                    out = translit.scan_decode(encoded[i], cb, args.mode)
-                except TranslitError as exc:
-                    yield "".join(piece + "\n" for piece in pieces[:i])
-                    raise type(exc)(f"{STDIN} line {lineno + i}: {exc}", offset=exc.offset) from None
-                pieces[i] = out.text
-                warnings_total += len(out.warnings)
-                for w in out.warnings:
-                    log.warning("%s line %d: %s", STDIN, lineno + i, w)
-            text = "\n".join(pieces)
-        yield text
+        text, scans = translit.decode_block(block, cb, args.mode)
+        # Each marked line's scan (with its '\r', which passes through) takes its
+        # place in the kernel's text. A block with no marked line stays one piece.
+        pieces = text.split("\n") if scans else [text]
+        for i, out in scans.items():
+            if isinstance(out, TranslitError):
+                yield "".join(piece + "\n" for piece in pieces[:i])
+                raise type(out)(f"{STDIN} line {lineno + i}: {out}", offset=out.offset) from None
+            pieces[i] = out.text
+            warnings_total += len(out.warnings)
+            for w in out.warnings:
+                log.warning("%s line %d: %s", STDIN, lineno + i, w)
+        yield "\n".join(pieces)
 
     _filter(fn)
     if warnings_total:

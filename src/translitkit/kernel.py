@@ -2,8 +2,8 @@
 
 This is the numpy half of `translit`, kept apart so that the processes that
 never decode (encode, analyze, the builds) do not import numpy. It decodes
-the lines of a batch, or a string long enough to pay for its fixed cost, in
-one pass, and marks the lines that `translit`'s scalar scan must judge.
+the lines of a string in one pass and marks the lines that `translit`'s
+scalar scan must judge; `translit.decode_block`, its one caller, scans them.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ class _PerThread(threading.local):
 
 
 _per_thread = _PerThread()  # one scratch per thread, so concurrent calls never share one
-
-
-def kernel_decode(enc: str, cb: Codebook) -> str | None:
-    """What `translit.decode` returns for `enc` in either mode, or None if `kernel_lines` marks a line."""
-    text, bad = kernel_lines(enc, cb)
-    return None if bad else text
 
 
 def kernel_lines(enc: str, cb: Codebook) -> tuple[str, list[int]]:

@@ -28,6 +28,7 @@ scalar scan takes only the lines the kernel marks.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -141,9 +142,9 @@ def to_latin(text: str, cb: Codebook, transform: Mapping[int, str] | None = None
 # Two decoders share the grammar. The kernel (`kernel.py`, numpy) decodes the
 # lines of a string in one vectorized pass and marks those it cannot decode
 # exactly; the scalar scan is the general left-to-right parser that reports
-# errors and makes the lenient repairs. `decode` tries the kernel first on all
-# but short strings; `splice` scans only the marked lines of a batch, the one
-# per-line fallback. `kernel` is imported where it is called, so that a
+# errors and makes the lenient repairs. Every decode of more than a short
+# string goes one way, `decode_block`: a kernel pass, then a scan of each
+# marked line alone. `kernel` is imported where it is called, so that a
 # process that never reaches it does not import numpy.
 
 
@@ -214,20 +215,51 @@ def scan_decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
     return DecodeResult("".join(out), warnings)
 
 
+def _scanned(enc: str, cb: Codebook, mode: str) -> DecodeResult | TranslitError:
+    try:
+        return scan_decode(enc, cb, mode)
+    except TranslitError as exc:
+        return exc
+
+
+def decode_block(enc: str, cb: Codebook, mode: str) -> tuple[str, dict[int, DecodeResult | TranslitError]]:
+    """One `kernel.kernel_lines` pass over the '\\n'-separated lines of `enc`: ``(text, scans)``.
+
+    `text` is the kernel's, marked lines left empty; `scans` maps each marked
+    line's number, in order, to its own `scan_decode` or the error it raised.
+    """
+    from . import kernel
+
+    _check_mode(mode)
+    text, bad = kernel.kernel_lines(enc, cb)
+    lines = enc.split("\n") if bad else []
+    return text, {i: _scanned(lines[i], cb, mode) for i in bad}
+
+
 def decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
     """Restore encoded text; lenient mode passes unknown segments through with warnings.
 
     Grammar violations (unterminated or empty '@' runs, stray lowercase outside
-    a segment) raise FormatError in either mode. Strings of 256 characters or
-    more go through the vectorized kernel first; the result is the same.
+    a segment) raise FormatError in either mode. The result is `scan_decode`'s.
+    Strings of 256 characters or more go through `decode_block`; only if a
+    line's scan raises is the whole string scanned, for the first error or an
+    '@' run across a line end.
     """
-    _check_mode(mode)
-    text = None
-    if len(enc) >= _KERNEL_MIN:
-        from . import kernel
-
-        text = kernel.kernel_decode(enc, cb)
-    return DecodeResult(text, []) if text is not None else scan_decode(enc, cb, mode)
+    if len(enc) < _KERNEL_MIN:
+        return scan_decode(enc, cb, mode)
+    text, scans = decode_block(enc, cb, mode)
+    if any(isinstance(out, TranslitError) for out in scans.values()):
+        return scan_decode(enc, cb, mode)
+    if not scans:
+        return DecodeResult(text, [])
+    pieces, warnings = text.split("\n"), []
+    starts = list(itertools.accumulate((len(line) + 1 for line in enc.split("\n")), initial=0))
+    for i, out in scans.items():
+        pieces[i] = out.text
+        for w in out.warnings:  # 'offset N: ...', N counted in the line
+            offset, rest = w.removeprefix("offset ").split(":", 1)
+            warnings.append(f"offset {int(offset) + starts[i]}:{rest}")
+    return DecodeResult("\n".join(pieces), warnings)
 
 
 def from_latin(enc: str, cb: Codebook, mode: str = "strict") -> str:
@@ -251,44 +283,32 @@ def _batches(lines: Iterable[str]) -> Iterator[list[str]]:
 
 
 def splice(
-    encoded: list[str], decoded: tuple[str, list[int]], cb: Codebook, mode: str
+    encoded: list[str], text: str, scans: dict[int, DecodeResult | TranslitError], cb: Codebook, mode: str
 ) -> list[DecodeResult | TranslitError]:
     """Per line of `encoded`, its DecodeResult or the TranslitError it raised.
 
-    `decoded` is `kernel.kernel_lines` of the lines joined by '\\n'. Only the
-    lines it marks go through `scan_decode`, or every line if one holds '\\n'.
+    `text, scans` is `decode_block` of the lines joined by '\\n'. If a line
+    holds '\\n', the kernel's lines are not these, and each is scanned alone.
     """
-    _check_mode(mode)
-    text, bad = decoded
     pieces = text.split("\n")
     if len(pieces) != len(encoded):
-        pieces, bad = encoded, range(len(encoded))
-    outcomes: list[DecodeResult | TranslitError] = [DecodeResult(piece, []) for piece in pieces]
-    for i in bad:
-        try:
-            outcomes[i] = scan_decode(encoded[i], cb, mode)
-        except TranslitError as exc:
-            outcomes[i] = exc
-    return outcomes
+        return [_scanned(enc, cb, mode) for enc in encoded]
+    return [scans[i] if i in scans else DecodeResult(piece, []) for i, piece in enumerate(pieces)]
 
 
 def decode_lines(encoded: list[str], cb: Codebook, mode: str = "strict") -> list[DecodeResult | TranslitError]:
-    """Decode each of `encoded` with one kernel pass over the lines joined by '\\n' (see `splice`)."""
-    from . import kernel
-
-    return splice(encoded, kernel.kernel_lines("\n".join(encoded), cb), cb, mode)
+    """Decode each of `encoded` with one `decode_block` pass over the lines joined by '\\n' (see `splice`)."""
+    return splice(encoded, *decode_block("\n".join(encoded), cb, mode), cb, mode)
 
 
 def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     """Count lines that do not survive encode-then-decode; 0 for a valid codebook.
 
-    Each batch takes one kernel pass over its lines' encodings joined by '\\n'
-    (when '\\n' encodes to itself, the encoding of the joined lines: no run
-    crosses '\\n'). A pass that marks no line and gives the joined text back
-    shows that every line round-trips; otherwise `splice` finds the failures.
+    Each batch takes one `decode_block` pass over its lines' encodings joined
+    by '\\n' (when '\\n' encodes to itself, the encoding of the joined lines:
+    no run crosses '\\n'). A pass that marks no line and gives the joined text
+    back shows that every line round-trips; otherwise `splice` finds the failures.
     """
-    from . import kernel
-
     encode = translator(cb)
     whole = encode("\n") == "\n"
     total = 0
@@ -296,9 +316,9 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     first: int | None = None
     for batch in _batches(lines):
         text = "\n".join(batch)
-        decoded = kernel.kernel_lines(encode(text) if whole else "\n".join(map(encode, batch)), cb)
-        if decoded != (text, []):
-            outcomes = splice([encode(line) for line in batch], decoded, cb, "strict")
+        decoded, scans = decode_block(encode(text) if whole else "\n".join(map(encode, batch)), cb, "strict")
+        if scans or decoded != text:
+            outcomes = splice([encode(line) for line in batch], decoded, scans, cb, "strict")
             for offset, (line, out) in enumerate(zip(batch, outcomes), total):
                 if isinstance(out, TranslitError) or out.text != line:
                     failures += 1

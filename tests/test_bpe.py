@@ -3,7 +3,7 @@ import re
 import string
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from translitkit.bpe import (
     BpeModel,
@@ -281,7 +281,6 @@ def test_a_model_with_a_warm_word_cache_equals_a_fresh_one(tmp_path):
     model = train(["abab abab", "xy xy"], target_vocab=10)
     save_model(model, str(tmp_path / "m"))
     model.tokenize("abab xy yx")
-    assert model._word_cache
     fresh = load_model(str(tmp_path / "m"))
     assert model == fresh and fresh == model
     assert model != BpeModel(model.vocab, model.merges, not model.byte_fallback)
@@ -334,6 +333,51 @@ def test_every_saved_model_loads_back_equal(tmp_path_factory, corpus):
     except FormatError:
         return
     assert load_model(str(out)) == model
+
+
+# Pieces of storable tokens: letters, whitespace other than ' ' and '\n', a BOM,
+# byte tokens and characters of two to four UTF-8 bytes. A '\r' may not end a token.
+_TOKEN_PIECES = [
+    "a", "b", "\t", "\x0b", "\x85", "\u2028", "\u3000", "\r", "\ufeff",
+    "<0x00>", "<0xC3>", "<0xFF>", "é", "ཀ", "😀", "\U0001d538", "\U0010fffd",
+]
+_SYMBOL = st.lists(st.sampled_from(_TOKEN_PIECES), min_size=1, max_size=3).map("".join).filter(
+    lambda token: not token.endswith("\r")
+)
+_SPACED = st.text(" \t", min_size=1, max_size=3)  # a whitespace run; ' ' is storable in vocab.txt only
+
+
+@st.composite
+def _storable_models(draw) -> BpeModel:
+    merges = draw(st.lists(st.tuples(_SYMBOL, _SYMBOL), max_size=6, unique=True))
+    tokens = draw(st.lists(_SYMBOL | _SPACED, max_size=8)) + [s for a, b in merges for s in (a, b, a + b)]
+    vocab = list(dict.fromkeys(draw(st.permutations(tokens))))
+    # The reader drops a leading BOM, so neither file may start with one.
+    assume(not vocab[:1] or not vocab[0].startswith("\ufeff"))
+    assume(not merges or not merges[0][0].startswith("\ufeff"))
+    return BpeModel(vocab, merges, draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_storable_models())
+def test_a_model_directory_round_trips(tmp_path_factory, model):
+    saved = tmp_path_factory.mktemp("m")
+    save_model(model, str(saved))
+    files = {name: (saved / name).read_bytes() for name in ("vocab.txt", "merges.txt")}
+    loaded = load_model(str(saved), model.byte_fallback)
+    assert loaded == model
+    again = tmp_path_factory.mktemp("m")
+    save_model(loaded, str(again))
+    assert {name: (again / name).read_bytes() for name in files} == files
+    # What the reader allows besides: a leading BOM, CRLF line ends and blank lines.
+    for edit in (
+        lambda data: "\ufeff".encode() + data,
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: b"\n" + data.replace(b"\n", b"\n\n") + b"\r\n",
+    ):
+        for name, data in files.items():
+            (saved / name).write_bytes(edit(data))
+        assert load_model(str(saved), model.byte_fallback) == model
 
 
 def test_bpe_train_refuses_an_unreadable_model(tmp_path, capsys):

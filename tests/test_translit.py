@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from translitkit import kernel, translit
 from translitkit.codebook import Codebook, CodebookEntry, build_basic
 from translitkit.errors import DecodeError, FormatError, TranslitError
-from translitkit.kernel import kernel_decode
 from translitkit.translit import (
     MODES,
     DecodeResult,
@@ -26,6 +25,12 @@ from translitkit.translit import (
 from reference import RefDecodeError, ref_decode, ref_encode
 
 CB = build_basic([0x0F40, 0x0F41])  # ཀ -> "B", ཁ -> "C"
+
+
+def _kernel_text(enc: str, cb: Codebook) -> str | None:
+    """The text of one `kernel.kernel_lines` pass over `enc`, or None if it marks a line."""
+    text, bad = kernel.kernel_lines(enc, cb)
+    return None if bad else text
 
 
 def test_direct_mapping():
@@ -340,7 +345,7 @@ def _encoded(cb: Codebook):
 def test_kernel_matches_scalar_scan(name, data, default_codebook):
     cb = {"default": default_codebook, "long": LONG_CB, "sparse": SPARSE_CB}[name]
     enc = data.draw(_encoded(cb))
-    text = kernel_decode(enc, cb)
+    text = _kernel_text(enc, cb)
     if text is None:
         # The kernel leaves the scan only errors, repairs, runs across '\n' and
         # code segments of five or more letters.
@@ -419,7 +424,7 @@ def test_kernel_lines_decodes_each_line_as_its_own_pass_would(name, data, defaul
     parts = data.draw(st.lists(line | st.tuples(odd, runs).map("\n".join), max_size=10))
     lines = "\n".join(parts).split("\n")
     text, bad = kernel.kernel_lines("\n".join(lines), cb)
-    own = [kernel_decode(enc, cb) for enc in lines]
+    own = [_kernel_text(enc, cb) for enc in lines]
     assert bad == [i for i, out in enumerate(own) if out is None]
     assert text.split("\n") == ["" if out is None else out for out in own]
     assert all(out == scan_decode(enc, cb).text for enc, out in zip(lines, own) if out is not None)
@@ -457,6 +462,39 @@ def test_decode_of_long_input_matches_scalar_scan(name, data, default_codebook):
             assert (got.text, got.warnings) == _outcome(enc, cb, mode)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_decode_of_a_long_string_scans_only_its_bad_line(mode, monkeypatch):
+    lines = _good_lines(LONG_CB, 3000)
+    lines[1700] += "Zq"  # an unknown code
+    enc = "\n".join(lines)
+    expected = _outcome(enc, LONG_CB, mode)
+    if mode == "lenient":  # the warning's offset counts in the whole string
+        assert expected[1] == [f"offset {enc.index('Zq')}: unknown code segment 'Zq'"]
+    scans = []
+    real = translit.scan_decode
+    monkeypatch.setattr(translit, "scan_decode", lambda enc, cb, mode: scans.append(enc) or real(enc, cb, mode))
+    assert _outcome(enc, LONG_CB, mode, decode) == expected
+    # Strict mode scans the whole string once the bad line raises, for the string's first error.
+    assert scans == ([lines[1700]] if mode == "lenient" else [lines[1700], enc])
+
+
+_PAD = "B" * 300  # long enough for decode to use the kernel
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [
+        _PAD + "\nC@a\nb@B\n" + "C" * 10,  # an '@' run across a line end: each of its lines raises alone
+        _PAD + "\nBZq\n" + "C" * 5 + "\nB@q\nC",  # a lenient warning, then an error on a later line
+        _PAD + "\nZq B\n" + "C" * 5 + "\nBx@a@\r\n" + "B" * 10,  # two bad lines: an unknown code, a residue
+    ],
+    ids=["run-across-lines", "warning-then-error", "two-bad-lines"],
+)
+def test_decode_of_hand_made_long_strings_matches_the_scan(enc):
+    for mode in MODES:
+        assert _outcome(enc, LONG_CB, mode, decode) == _outcome(enc, LONG_CB, mode)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=st.text(alphabet=MIXED_ALPHABET + "\r𝔸一七", max_size=120))
 def test_kernel_matches_reference_on_valid_input(text, default_codebook):
@@ -464,7 +502,7 @@ def test_kernel_matches_reference_on_valid_input(text, default_codebook):
         enc = to_latin(text, cb)
         assert ref_decode(enc, cb.code_to_char) == text
         # A valid encoding is declined exactly when it holds a code of five or more letters.
-        assert kernel_decode(enc, cb) == (None if _has_long_segment(enc) else text)
+        assert _kernel_text(enc, cb) == (None if _has_long_segment(enc) else text)
 
 
 def test_codes_longer_than_the_kernel_table_go_to_the_scan():
@@ -473,15 +511,15 @@ def test_codes_longer_than_the_kernel_table_go_to_the_scan():
         ("BQabcd" * 60, "一丁" * 60),
         ("BBabcdefghijklmnCabcdefghijklmnopq" * 20, "一丂七" * 20),
     ]:
-        assert kernel_decode(enc, cb) is None
+        assert _kernel_text(enc, cb) is None
         assert from_latin(enc, cb) == text
-    assert kernel_decode("B" * 300, cb) == "一" * 300
-    assert kernel_decode("@Qabcd@" + "B" * 300, cb) == "Qabcd" + "一" * 300  # a run holds no code
+    assert _kernel_text("B" * 300, cb) == "一" * 300
+    assert _kernel_text("@Qabcd@" + "B" * 300, cb) == "Qabcd" + "一" * 300  # a run holds no code
 
 
 def test_kernel_rejects_runs_across_line_ends_that_decode_accepts():
     enc = "@a\nb@" + "B" * 300
-    assert kernel_decode(enc, CB) is None
+    assert _kernel_text(enc, CB) is None
     assert from_latin(enc, CB) == "a\nb" + "ཀ" * 300
 
 
@@ -510,7 +548,7 @@ def test_kernel_and_scan_on_hand_made_runs(enc, expected, kernel_declines):
     else:
         with pytest.raises(expected):
             scan_decode(enc, CB, "strict")
-    assert kernel_decode(enc, CB) == (None if kernel_declines else expected)
+    assert _kernel_text(enc, CB) == (None if kernel_declines else expected)
 
 
 def test_verify_roundtrip_lines_with_newlines_and_a_newline_code(default_codebook):
@@ -610,10 +648,10 @@ def test_verify_roundtrip_matches_a_per_line_oracle(name, lines, block, default_
 # --- the kernel's working arrays, kept from call to call ----------------------
 
 
-def _fresh_kernel_decode(enc: str, cb: Codebook) -> str | None:
-    """`kernel_decode` in a new thread, whose working arrays are new."""
+def _fresh_kernel_text(enc: str, cb: Codebook) -> str | None:
+    """`_kernel_text` in a new thread, whose working arrays are new."""
     with ThreadPoolExecutor(1) as pool:
-        return pool.submit(kernel_decode, enc, cb).result()
+        return pool.submit(_kernel_text, enc, cb).result()
 
 
 def _long(cb: Codebook, runs: bool, repeat: int) -> str:
@@ -624,7 +662,7 @@ def _long(cb: Codebook, runs: bool, repeat: int) -> str:
 def test_kernel_calls_of_any_size_order_match_a_fresh_call(default_codebook):
     huge = _long(LONG_CB, False, kernel._SCRATCH_MAX // 20)  # longer than the kept arrays go
     assert len(huge) > kernel._SCRATCH_MAX
-    assert kernel_decode(huge, LONG_CB) is not None
+    assert _kernel_text(huge, LONG_CB) is not None
     calls = [
         (default_codebook, _long(default_codebook, True, 3000)),
         (default_codebook, "BaB"),
@@ -637,7 +675,7 @@ def test_kernel_calls_of_any_size_order_match_a_fresh_call(default_codebook):
         (LONG_CB, "Bz\nQxyz"),
     ]
     for cb, enc in calls * 2:
-        assert kernel_decode(enc, cb) == _fresh_kernel_decode(enc, cb)
+        assert _kernel_text(enc, cb) == _fresh_kernel_text(enc, cb)
     assert max(buf.size for buf in kernel._per_thread.scratch.arrays.values()) <= kernel._SCRATCH_MAX
 
 
@@ -657,7 +695,7 @@ def test_kernel_decodes_from_several_threads_at_once(default_codebook):
     def work(shift):
         start.wait()
         order = [(i + shift) % len(inputs) for i in range(len(inputs))] * 10
-        return [(i, kernel_decode(inputs[i][1], inputs[i][0])) for i in order]
+        return [(i, _kernel_text(inputs[i][1], inputs[i][0])) for i in order]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
