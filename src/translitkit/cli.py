@@ -21,7 +21,7 @@ from .errors import TranslitError
 
 log = logging.getLogger("translitkit")
 
-FORMAT_VERSIONS = "codebook-tsv=1 bpe-model=1 lid-model=1"
+FORMAT_VERSIONS = "codebook-tsv=1 bpe-model=1 lid-model=2"
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -23,7 +23,8 @@ from .errors import ConfigError, FormatError, TrainingError
 
 DEFAULT_HASH_BUCKETS = 1 << 20
 
-_MAGIC = b"TKLID\x01\n"
+_MAGIC = b"TKLID\x02\n"
+_MAGIC_V1 = b"TKLID\x01\n"  # read only: the dense matrix, (hash_buckets, n_labels) float64
 
 
 @dataclass(frozen=True)
@@ -54,21 +55,65 @@ class Prediction:
     distribution: dict[str, float]
 
 
-@dataclass
-class LangIdModel:
-    labels: list[str]
-    ngram_range: tuple[int, int]
-    hash_buckets: int
-    weights: np.ndarray  # (hash_buckets, n_labels)
-    bias: np.ndarray  # (n_labels,)
-    training_params: TrainingParams
+def _any_bit(rows: np.ndarray) -> np.ndarray:
+    """Per row of float64 `rows`, whether any bit of it is set: the rows a model keeps.
 
-    def __post_init__(self):
-        if self.weights.shape != (self.hash_buckets, len(self.labels)):
-            raise ConfigError(
-                f"weight shape {self.weights.shape} does not match "
-                f"{self.hash_buckets} buckets x {len(self.labels)} labels"
-            )
+    A row of -0.0 is kept, so a model's saved bytes depend on its weights alone.
+    """
+    return rows.view(np.uint64).any(axis=1)
+
+
+class LangIdModel:
+    """A classifier held compact: the weight rows with any bit set, and the bias.
+
+    `ids` holds the kept rows' buckets, strictly increasing; row 0 of `table`
+    is zeros and row r + 1 is bucket ids[r]'s; `index` maps each bucket to its
+    row of `table`. A model is built from the dense (hash_buckets, n_labels)
+    `weights` matrix or, when `ids` is given, from the rows of those buckets
+    alone, as `train` and `load_model` build theirs.
+    """
+
+    def __init__(
+        self,
+        labels: list[str],
+        ngram_range: tuple[int, int],
+        hash_buckets: int,
+        weights: np.ndarray,
+        bias: np.ndarray,
+        training_params: TrainingParams,
+        ids: np.ndarray | None = None,
+    ):
+        weights = np.asarray(weights, dtype=np.float64)
+        rows = hash_buckets if ids is None else len(ids)
+        if weights.shape != (rows, len(labels)):
+            what = "buckets" if ids is None else "rows"
+            raise ConfigError(f"weight shape {weights.shape} does not match {rows} {what} x {len(labels)} labels")
+        if ids is None:
+            ids = np.flatnonzero(_any_bit(weights))
+            weights = weights[ids]
+        if hash_buckets > 1 << 32:
+            raise ConfigError(f"hash_buckets {hash_buckets} is above 2**32, the most uint32 bucket ids can tell")
+        ids = np.asarray(ids)
+        if ids.size and not (0 <= ids[0] and ids[-1] < hash_buckets and np.all(ids[1:] > ids[:-1])):
+            raise ConfigError(f"bucket ids are not strictly increasing and below hash_buckets {hash_buckets}")
+        self.labels = labels
+        self.ngram_range = ngram_range
+        self.hash_buckets = hash_buckets
+        self.bias = np.asarray(bias, dtype=np.float64)
+        self.training_params = training_params
+        self.ids = np.asarray(ids, dtype=np.uint32)
+        self.table = np.zeros((len(ids) + 1, len(labels)))
+        self.table[1:] = weights
+        try:
+            self.index = np.zeros(hash_buckets, dtype=np.int32)
+        except MemoryError:
+            raise ConfigError(f"cannot allocate the bucket index of {hash_buckets} buckets") from None
+        self.index[self.ids] = np.arange(1, len(ids) + 1, dtype=np.int32)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense (hash_buckets, n_labels) matrix, built anew on each use."""
+        return self.table[self.index]
 
 
 _PRIME = np.uint64(31)
@@ -224,7 +269,21 @@ def train(
                 rows -= np.multiply(lr_cnt, p, out=step[: idx.size])
                 weights[idx] = rows
             bias -= lr * p
-    return LangIdModel(label_list, (lo, hi), hash_buckets, weights, bias, params)
+    # Only the rows of the buckets some example holds can be nonzero. They are
+    # found and copied in the memory the features leave, with an in-place sort
+    # where np.unique would copy. The sort is stable, as `_features`' np.unique
+    # ran one: a first quicksort pages in some 300 kB of numpy's code.
+    del feats
+    touched = np.concatenate([idx for idx, _ in per_text])
+    del per_text
+    touched.sort(kind="stable")
+    first = np.ones(touched.size, dtype=bool)  # where each bucket's run starts
+    first[1:] = touched[1:] != touched[:-1]
+    touched = touched[first]
+    rows = weights[touched]
+    del weights  # before the model allocates its index, so that the peak does not rise
+    kept = _any_bit(rows)
+    return LangIdModel(label_list, (lo, hi), hash_buckets, rows[kept], bias, params, ids=touched[kept])
 
 
 def predict(text: str, model: LangIdModel) -> Prediction:
@@ -238,7 +297,7 @@ def predict_many(texts: Sequence[str], model: LangIdModel) -> list[Prediction]:
     if not texts:
         return []
     owner, ids, _, _ = _featurize(texts, *model.ngram_range, model.hash_buckets)
-    rows = np.take(model.weights, ids, axis=0)
+    rows = model.table.take(model.index.take(ids), axis=0)
     if len(texts) == 1:
         scores = rows.sum(axis=0, keepdims=True)
     else:
@@ -285,7 +344,8 @@ def evaluate(examples: Iterable[tuple[str, str]], model: LangIdModel) -> dict:
 
 
 def save_model(model: LangIdModel, path: str) -> None:
-    """Versioned magic, JSON header, then little-endian float64 weights and bias."""
+    """Version 2: magic, JSON header, then little-endian the row count k (uint64),
+    the kept rows' bucket ids (k uint32), their rows (k x n_labels float64) and the bias."""
     header = {
         "labels": model.labels,
         "ngram_range": list(model.ngram_range),
@@ -297,9 +357,9 @@ def save_model(model: LangIdModel, path: str) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for array in (model.weights, model.bias):
-            # a byte view of the array, not a copy of it (the weights are 40 MB)
-            fh.write(memoryview(np.ascontiguousarray(array, dtype="<f8")).cast("B"))
+        fh.write(struct.pack("<Q", model.ids.size))
+        for array, dtype in ((model.ids, "<u4"), (model.table[1:], "<f8"), (model.bias, "<f8")):
+            fh.write(np.ascontiguousarray(array, dtype=dtype))  # the array's own bytes, not a copy
 
 
 # The JSON type of each training parameter that `save_model` writes, ngram_range aside.
@@ -324,7 +384,7 @@ def load_model(path: str) -> LangIdModel:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if magic not in (_MAGIC, _MAGIC_V1):
             raise ConfigError(f"{path}: not a translitkit language-id model (bad magic)")
         prefix = fh.read(4)
         if len(prefix) != 4:
@@ -352,19 +412,39 @@ def load_model(path: str) -> LangIdModel:
         if buckets <= 0 or not labels or not 1 <= lo <= hi:  # as train requires
             shape = f"{buckets} buckets, {len(labels)} labels, ngram_range {[lo, hi]}"
             raise FormatError(f"{path}: bad header: {shape}")
-        payload_size = 8 * (buckets + 1) * len(labels)
-        if file_size - fh.tell() != payload_size:
-            raise FormatError(
-                f"{path}: payload is {file_size - fh.tell()} bytes, expected {payload_size} "
-                f"for {buckets} buckets x {len(labels)} labels"
-            )
-        weights = np.empty((buckets, len(labels)), dtype="<f8")
-        bias = np.empty(len(labels), dtype="<f8")
-        for array in (weights, bias):
-            view = memoryview(array).cast("B")
-            if fh.readinto(view) != view.nbytes:
-                raise FormatError(f"{path}: payload ends early; the file shrank while being read")
-    return LangIdModel(labels, ngram_range, buckets, weights, bias, params)
+        n = len(labels)
+        if magic == _MAGIC_V1:  # the dense matrix, kept compact once read
+            _expect_payload(fh, path, file_size, 8 * (buckets + 1) * n, f"{buckets} buckets x {n} labels")
+            ids = None
+            rows = _read(fh, path, (buckets, n))
+        else:
+            prefix = fh.read(8)
+            if len(prefix) != 8:
+                raise FormatError(f"{path}: truncated row count")
+            (k,) = struct.unpack("<Q", prefix)
+            if k > buckets:
+                raise FormatError(f"{path}: row count {k} is above hash_buckets {buckets}")
+            _expect_payload(fh, path, file_size, 4 * k + 8 * (k + 1) * n, f"{k} rows x {n} labels")
+            ids = _read(fh, path, k, "<u4")
+            rows = _read(fh, path, (k, n))
+        bias = _read(fh, path, n)
+    try:
+        return LangIdModel(labels, ngram_range, buckets, rows, bias, params, ids=ids)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _expect_payload(fh, path: str, file_size: int, size: int, shape: str) -> None:
+    if file_size - fh.tell() != size:
+        raise FormatError(f"{path}: payload is {file_size - fh.tell()} bytes, expected {size} for {shape}")
+
+
+def _read(fh, path: str, shape, dtype: str = "<f8") -> np.ndarray:
+    """The next array of `shape` in `fh`, read in place."""
+    array = np.empty(shape, dtype=dtype)
+    if fh.readinto(array) != array.nbytes:
+        raise FormatError(f"{path}: payload ends early; the file shrank while being read")
+    return array
 
 
 def read_labeled(path: str) -> list[tuple[str, str]]:

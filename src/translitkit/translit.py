@@ -184,8 +184,8 @@ def _decode_segment_greedy(
     warnings.append(f"offset {off}: unknown code segment {seg!r}")
 
 
-def scan_decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
-    """Decode `enc` with the scalar scan: one left-to-right pass over the grammar.
+def scan_decode(enc: str, cb: Codebook, mode: str = "strict", pos: int = 0) -> DecodeResult:
+    """Decode `enc[pos:]` with the scalar scan: one left-to-right pass over the grammar.
 
     Strict and lenient errors, repairs and warnings come from here, with
     offsets relative to `enc`. An '@' run may hold any character, '\\n' too.
@@ -194,7 +194,7 @@ def scan_decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
     lookup = cb.code_to_text
     out: list[str] = []
     warnings: list[str] = []
-    for m in _TOKEN.finditer(enc):
+    for m in _TOKEN.finditer(enc, pos):
         run, seg, bad = m.groups()
         if seg is not None:
             ch = lookup.get(seg)
@@ -241,20 +241,22 @@ def decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
 
     Grammar violations (unterminated or empty '@' runs, stray lowercase outside
     a segment) raise FormatError in either mode. The result is `scan_decode`'s.
-    Strings of 256 characters or more go through `decode_block`; only if a
-    line's scan raises is the whole string scanned, for the first error or an
-    '@' run across a line end.
+    Strings of 256 characters or more go through `decode_block`. If a line's
+    scan raises, the string is scanned from that line's start: the lines before
+    it read as they do alone, and only an '@' run opened on it can read on past
+    its end. That scan gives the string's first error, or reads the run.
     """
     if len(enc) < _KERNEL_MIN:
         return scan_decode(enc, cb, mode)
     text, scans = decode_block(enc, cb, mode)
-    if any(isinstance(out, TranslitError) for out in scans.values()):
-        return scan_decode(enc, cb, mode)
     if not scans:
         return DecodeResult(text, [])
     pieces, warnings = text.split("\n"), []
     starts = list(itertools.accumulate((len(line) + 1 for line in enc.split("\n")), initial=0))
     for i, out in scans.items():
+        if isinstance(out, TranslitError):
+            tail = scan_decode(enc, cb, mode, starts[i])
+            return DecodeResult("\n".join(pieces[:i] + [tail.text]), warnings + tail.warnings)
         pieces[i] = out.text
         for w in out.warnings:  # 'offset N: ...', N counted in the line
             offset, rest = w.removeprefix("offset ").split(":", 1)

@@ -298,8 +298,9 @@ def ref_predict(text: str, model) -> tuple[str, dict[str, float]]:
     for _, b in ref_ngram_ids([text], lo, hi, model.hash_buckets):
         counts[b] = counts.get(b, 0) + 1
     scores = [float(x) for x in model.bias]
+    weights = model.weights
     for b, c in counts.items():
-        row = model.weights[b]
+        row = weights[b]
         for j in range(len(labels)):
             scores[j] += c * float(row[j])
     top = max(scores)

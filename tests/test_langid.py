@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import io
 import json
 import math
 import os
@@ -233,8 +235,9 @@ def test_save_load_roundtrip(tmp_path, toy_model):
     assert predict_many(texts, loaded) == predict_many(texts, toy_model)
 
 
-def _tobytes_writer(model: LangIdModel) -> bytes:
-    """The file save_model wrote while it copied each array with tobytes()."""
+def _tobytes_writer(model: LangIdModel, weights: np.ndarray | None = None, bias: np.ndarray | None = None) -> bytes:
+    """The version-1 file save_model wrote while it copied each array with tobytes(): the
+    dense (hash_buckets, n_labels) matrix, `weights` if given, then the bias."""
     header = {
         "labels": model.labels,
         "ngram_range": list(model.ngram_range),
@@ -243,54 +246,67 @@ def _tobytes_writer(model: LangIdModel) -> bytes:
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     return b"".join([
-        langid._MAGIC,
+        langid._MAGIC_V1,
         struct.pack("<I", len(blob)),
         blob,
-        np.ascontiguousarray(model.weights, dtype="<f8").tobytes(),
-        np.ascontiguousarray(model.bias, dtype="<f8").tobytes(),
+        np.ascontiguousarray(model.weights if weights is None else weights, dtype="<f8").tobytes(),
+        np.ascontiguousarray(model.bias if bias is None else bias, dtype="<f8").tobytes(),
     ])
 
 
 @pytest.mark.parametrize("layout", ["trained", "fortran", "big-endian"])
 def test_saved_bytes_match_the_tobytes_writer(tmp_path, toy_model, layout):
+    # The version-1 writer is retired: a file it wrote from a matrix in any layout loads as the
+    # model, and so does a model built from that matrix. Both save the model's bytes.
     weights, bias = toy_model.weights, toy_model.bias
     if layout == "fortran":
         weights = np.asfortranarray(weights)
     elif layout == "big-endian":
         weights, bias = weights.astype(">f8"), bias.astype(">f8")
-    model = dataclasses.replace(toy_model, weights=weights, bias=bias)
-    path = tmp_path / "model.lid"
-    save_model(model, str(path))
-    assert path.read_bytes() == _tobytes_writer(model)
+    old = tmp_path / "v1.lid"
+    old.write_bytes(_tobytes_writer(toy_model, weights, bias))
+    built = LangIdModel(toy_model.labels, toy_model.ngram_range, toy_model.hash_buckets, weights, bias,
+                        toy_model.training_params)
+    save_model(toy_model, str(tmp_path / "model.lid"))
+    for model in (load_model(str(old)), built):
+        save_model(model, str(tmp_path / "again.lid"))
+        assert (tmp_path / "again.lid").read_bytes() == (tmp_path / "model.lid").read_bytes()
 
 
 def _edit_header(path: str, out, edit) -> str:
     """A copy of the model at `path`, written to `out`, whose JSON header `edit` changed in place."""
     with open(path, "rb") as fh:
         data = fh.read()
-    start = len(langid._MAGIC) + 4
-    (blob_len,) = struct.unpack("<I", data[len(langid._MAGIC) : start])
+    magic, start = data[: len(langid._MAGIC)], len(langid._MAGIC) + 4
+    (blob_len,) = struct.unpack("<I", data[len(magic) : start])
     header = json.loads(data[start : start + blob_len])
     edit(header)
     blob = json.dumps(header).encode("utf-8")
-    out.write_bytes(langid._MAGIC + struct.pack("<I", len(blob)) + blob + data[start + blob_len :])
+    out.write_bytes(magic + struct.pack("<I", len(blob)) + blob + data[start + blob_len :])
     return str(out)
 
 
+def _both_versions(tmp_path, model: LangIdModel) -> list[str]:
+    """`model` saved as version 2 and written by the version-1 writer."""
+    paths = [str(tmp_path / "model.lid"), str(tmp_path / "v1.lid")]
+    save_model(model, paths[0])
+    (tmp_path / "v1.lid").write_bytes(_tobytes_writer(model))
+    return paths
+
+
 def test_load_accepts_headers_that_record_dim_and_window(tmp_path, toy_model):
-    path = str(tmp_path / "model.lid")
-    save_model(toy_model, path)
-    old = _edit_header(path, tmp_path / "old.lid", lambda h: h["training_params"].update(dim=150, window=7))
-    old = load_model(old)
-    assert old.training_params == toy_model.training_params
-    texts = ["abab", "", "xyzzy zyx", "q"]
-    assert predict_many(texts, old) == predict_many(texts, toy_model)
-    # A learning rate written as a JSON integer is still a number.
-    whole = _edit_header(path, tmp_path / "whole.lid", lambda h: h["training_params"].update(learning_rate=1))
-    assert load_model(whole).training_params.learning_rate == 1
-    odd = _edit_header(path, tmp_path / "odd.lid", lambda h: h["training_params"].update(dim=150, depth=2))
-    with pytest.raises(FormatError, match="bad header"):
-        load_model(odd)
+    for path in _both_versions(tmp_path, toy_model):
+        old = _edit_header(path, tmp_path / "old.lid", lambda h: h["training_params"].update(dim=150, window=7))
+        old = load_model(old)
+        assert old.training_params == toy_model.training_params
+        texts = ["abab", "", "xyzzy zyx", "q"]
+        assert predict_many(texts, old) == predict_many(texts, toy_model)
+        # A learning rate written as a JSON integer is still a number.
+        whole = _edit_header(path, tmp_path / "whole.lid", lambda h: h["training_params"].update(learning_rate=1))
+        assert load_model(whole).training_params.learning_rate == 1
+        odd = _edit_header(path, tmp_path / "odd.lid", lambda h: h["training_params"].update(dim=150, depth=2))
+        with pytest.raises(FormatError, match="bad header"):
+            load_model(odd)
 
 
 @pytest.mark.parametrize(
@@ -309,14 +325,13 @@ def test_load_accepts_headers_that_record_dim_and_window(tmp_path, toy_model):
     ],
 )
 def test_detect_on_a_bad_header_value_exits_2(tmp_path, toy_model, capsys, key, value):
-    path = str(tmp_path / "model.lid")
-    save_model(toy_model, path)
-    bad = _edit_header(path, tmp_path / "bad.lid", lambda h: h.update({key: value}))
-    assert main(["detect", "abab", "--model", bad]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: FormatError: {bad}: bad header: ")
-    assert captured.err.count("\n") == 1
+    for path in _both_versions(tmp_path, toy_model):
+        bad = _edit_header(path, tmp_path / "bad.lid", lambda h: h.update({key: value}))
+        assert main(["detect", "abab", "--model", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: FormatError: {bad}: bad header: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_load_rejects_a_file_that_shrinks_while_read(tmp_path, toy_model, monkeypatch):
@@ -336,6 +351,131 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAMODEL" * 4)
     with pytest.raises(ConfigError, match="magic"):
         load_model(str(path))
+
+
+# --- version 2: the kept rows alone --------------------------------------------
+
+
+def _bits(preds: list) -> list:
+    """Predictions with each float as its bits."""
+    return [(p.label, p.confidence.hex(), [v.hex() for v in p.distribution.values()]) for p in preds]
+
+
+def _dense_gather(model: LangIdModel, weights: np.ndarray) -> LangIdModel:
+    """`model` gathering from the dense matrix `weights`, as a version-1 model did: its table
+    is the matrix and its index the identity."""
+    dense = copy.copy(model)
+    dense.table, dense.index = weights, np.arange(model.hash_buckets)
+    return dense
+
+
+def test_a_version_1_file_and_its_resave_predict_bit_for_bit_as_the_dense_model(tmp_path, script_model):
+    weights = script_model.weights
+    old = tmp_path / "v1.lid"
+    old.write_bytes(_tobytes_writer(script_model, weights))
+    texts = _ROUTE_LINES + ["", "x", "ཀཁ", "ab\rxy", "\U0001F600" * 5]
+    want = _bits(predict_many(texts, _dense_gather(script_model, weights)))
+    loaded = load_model(str(old))
+    save_model(loaded, str(tmp_path / "v2.lid"))
+    assert (tmp_path / "v2.lid").read_bytes().startswith(langid._MAGIC)
+    for model in (loaded, load_model(str(tmp_path / "v2.lid"))):
+        assert _bits(predict_many(texts, model)) == want
+        assert _bits([predict(text, model) for text in texts[-5:]]) == want[-5:]
+
+
+def test_detect_prints_the_same_for_a_version_1_file_and_its_resave(tmp_path, script_model, capsys, monkeypatch):
+    old = tmp_path / "v1.lid"
+    old.write_bytes(_tobytes_writer(script_model))
+    save_model(load_model(str(old)), str(tmp_path / "v2.lid"))
+    data = ("\n".join(_ROUTE_LINES + ["", "x"]) + "\n").encode("utf-8")
+    outs = []
+    for path in (old, tmp_path / "v2.lid"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["detect", "--model", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == len(_ROUTE_LINES) + 2
+
+
+def test_save_writes_the_kept_rows_alone(tmp_path, toy_model):
+    path = tmp_path / "model.lid"
+    save_model(toy_model, str(path))
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[len(langid._MAGIC) : len(langid._MAGIC) + 4])
+    start = len(langid._MAGIC) + 4 + blob_len
+    dense, n = toy_model.weights, len(toy_model.labels)
+    kept = np.flatnonzero(dense.view(np.uint64).any(axis=1))
+    k = kept.size
+    assert 0 < k < SMALL_BUCKETS
+    assert struct.unpack("<Q", data[start : start + 8]) == (k,)
+    assert np.frombuffer(data, "<u4", k, start + 8).tolist() == kept.tolist()
+    rows = np.frombuffer(data, "<f8", k * n, start + 8 + 4 * k).reshape(k, n)
+    assert np.array_equal(rows, dense[kept])
+    assert np.array_equal(np.frombuffer(data, "<f8", n, start + 8 + 4 * k + 8 * k * n), toy_model.bias)
+    assert len(data) == start + 8 + 4 * k + 8 * (k + 1) * n
+
+
+def test_a_row_is_kept_when_any_bit_of_it_is_set(tmp_path, toy_model):
+    weights = toy_model.weights
+    zero = np.flatnonzero(~weights.any(axis=1))[:2]
+    weights[zero[0]] = -0.0
+    weights[zero[1], 1] = -0.0
+    model = LangIdModel(toy_model.labels, toy_model.ngram_range, SMALL_BUCKETS, weights, toy_model.bias,
+                        toy_model.training_params)
+    assert set(zero.tolist()) <= set(model.ids.tolist())
+    assert model.ids.size == np.count_nonzero(toy_model.weights.any(axis=1)) + 2
+    save_model(model, str(tmp_path / "model.lid"))
+    (tmp_path / "v1.lid").write_bytes(_tobytes_writer(model))
+    for path in ("model.lid", "v1.lid"):
+        loaded = load_model(str(tmp_path / path))
+        assert np.array_equal(loaded.weights.view(np.uint64), weights.view(np.uint64))
+        save_model(loaded, str(tmp_path / "again.lid"))
+        assert (tmp_path / "again.lid").read_bytes() == (tmp_path / "model.lid").read_bytes()
+
+
+def _edit_rows(path: str, out, edit) -> str:
+    """A copy of the version-2 model at `path`, written to `out`, whose row count, ids and
+    the bytes after them ``edit(k, ids, rest)`` gave."""
+    data = open(path, "rb").read()
+    (blob_len,) = struct.unpack("<I", data[len(langid._MAGIC) : len(langid._MAGIC) + 4])
+    start = len(langid._MAGIC) + 4 + blob_len
+    (k,) = struct.unpack("<Q", data[start : start + 8])
+    ids = np.frombuffer(data, "<u4", k, start + 8)
+    k, ids, rest = edit(k, ids, data[start + 8 + 4 * k :])
+    out.write_bytes(data[:start] + struct.pack("<Q", k) + np.asarray(ids, "<u4").tobytes() + rest)
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda k, ids, rest: (SMALL_BUCKETS + 1, ids, rest), f"row count {SMALL_BUCKETS + 1} is above hash_buckets"),
+        (lambda k, ids, rest: (k, ids[::-1], rest), "bucket ids are not strictly increasing"),
+        (lambda k, ids, rest: (k, np.append(ids[:1], ids[:-1]), rest), "bucket ids are not strictly increasing"),
+        (lambda k, ids, rest: (k, np.append(ids[:-1], SMALL_BUCKETS), rest), f"below hash_buckets {SMALL_BUCKETS}"),
+        (lambda k, ids, rest: (k, ids, rest[:-8]), "payload is"),
+        (lambda k, ids, rest: (k, ids, rest + bytes(8)), "payload is"),
+        (lambda k, ids, rest: (k - 1, ids[:-1], rest), "payload is"),
+        (lambda k, ids, rest: (k + 1, np.append(ids, SMALL_BUCKETS - 1), rest), "payload is"),
+    ],
+    ids=["count-above-buckets", "descending", "repeated", "id-at-buckets", "short", "long", "count-low", "count-high"],
+)
+def test_load_rejects_bad_rows_naming_the_file(tmp_path, toy_model, capsys, edit, message):
+    good = tmp_path / "good.lid"
+    save_model(toy_model, str(good))
+    bad = _edit_rows(str(good), tmp_path / "bad.lid", edit)
+    with pytest.raises(FormatError, match=f"^{bad}: .*{message}"):
+        load_model(bad)
+    assert main(["detect", "abab", "--model", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: FormatError: {bad}: ")
+
+
+def test_load_rejects_more_buckets_than_uint32_ids_can_tell(tmp_path, toy_model):
+    good = tmp_path / "good.lid"
+    save_model(toy_model, str(good))
+    edited = _edit_header(str(good), tmp_path / "edited.lid", lambda h: h.update(hash_buckets=(1 << 32) + 1))
+    with pytest.raises(FormatError, match=f"^{edited}: hash_buckets {(1 << 32) + 1} is above 2\\*\\*32"):
+        load_model(edited)
 
 
 def _corrupt(blob: bytes, kind: str) -> bytes:

@@ -375,16 +375,39 @@ _NEAR_VALID = {
 }
 
 
+def _rows_payload(k: int, ids: list[int], rows: int) -> bytes:
+    """A version-2 payload: row count `k`, then `ids` as uint32 and `rows` float64 zeros."""
+    return struct.pack(f"<Q{len(ids)}I", k, *ids) + bytes(8 * rows)
+
+
+# Near-valid version-2 payloads, each with the lengths of one label and up to three buckets.
+_ROWS_PAYLOAD = st.integers(0, 4).flatmap(lambda k: st.builds(
+    _rows_payload, st.sampled_from([k, k, k + 1, k - 1 if k else 1 << 63]),
+    st.lists(st.integers(0, 4) | st.sampled_from([(1 << 32) - 1]), min_size=k, max_size=k),
+    st.sampled_from([k + 1, k + 1, k, k + 2]),
+))
+
+
 @_FUZZ
-@example(header={**_NEAR_VALID, "hash_buckets": float("inf")}, blob_len_delta=0, payload=bytes(16))
-@example(header={**_NEAR_VALID, "training_params": []}, blob_len_delta=0, payload=bytes(16))
-@example(header=_NEAR_VALID, blob_len_delta=0, payload=bytes(16))
+@example(header={**_NEAR_VALID, "hash_buckets": float("inf")}, blob_len_delta=0, payload=bytes(16),
+         magic=langid._MAGIC_V1)
+@example(header={**_NEAR_VALID, "training_params": []}, blob_len_delta=0, payload=bytes(16), magic=langid._MAGIC_V1)
+@example(header=_NEAR_VALID, blob_len_delta=0, payload=bytes(16), magic=langid._MAGIC_V1)
+@example(header=_NEAR_VALID, blob_len_delta=0, payload=_rows_payload(0, [], 1), magic=langid._MAGIC)
+@example(header={**_NEAR_VALID, "hash_buckets": 3}, blob_len_delta=0, payload=_rows_payload(2, [2, 1], 3),
+         magic=langid._MAGIC)
+@example(header={**_NEAR_VALID, "hash_buckets": 3}, blob_len_delta=0, payload=_rows_payload(1, [3], 2),
+         magic=langid._MAGIC)
+@example(header=_NEAR_VALID, blob_len_delta=0, payload=_rows_payload(2, [0, 1], 3), magic=langid._MAGIC)
+@example(header={**_NEAR_VALID, "hash_buckets": (1 << 32) + 1}, blob_len_delta=0, payload=_rows_payload(0, [], 1),
+         magic=langid._MAGIC)
 @given(header=_HEADER, blob_len_delta=st.sampled_from([0, 0, 0, -1, 1, 1 << 20]),
-       payload=st.integers(0, 12).map(lambda k: bytes(8 * k)) | st.binary(max_size=40))
-def test_langid_load_model_fuzz(tmp_path, header, blob_len_delta, payload):
+       payload=st.integers(0, 12).map(lambda k: bytes(8 * k)) | st.binary(max_size=40) | _ROWS_PAYLOAD,
+       magic=st.sampled_from([langid._MAGIC, langid._MAGIC_V1]))
+def test_langid_load_model_fuzz(tmp_path, header, blob_len_delta, payload, magic):
     blob = json.dumps(header).encode("utf-8")
     prefix = struct.pack("<I", max(0, len(blob) + blob_len_delta))
-    path = _fuzz_file(tmp_path, langid._MAGIC + prefix + blob + payload)
+    path = _fuzz_file(tmp_path, magic + prefix + blob + payload)
     try:
         langid.load_model(path)
     except TranslitError:

@@ -470,12 +470,39 @@ def test_decode_of_a_long_string_scans_only_its_bad_line(mode, monkeypatch):
     expected = _outcome(enc, LONG_CB, mode)
     if mode == "lenient":  # the warning's offset counts in the whole string
         assert expected[1] == [f"offset {enc.index('Zq')}: unknown code segment 'Zq'"]
+    scans = _record_scans(monkeypatch)
+    assert _outcome(enc, LONG_CB, mode, decode) == expected
+    # Once the bad line raises in strict mode, the string is scanned from that line's start.
+    start = sum(len(line) + 1 for line in lines[:1700])
+    assert scans == ([(lines[1700], 0)] if mode == "lenient" else [(lines[1700], 0), (enc, start)])
+
+
+def _record_scans(monkeypatch) -> list[tuple[str, int]]:
+    """The string and start of each `scan_decode` call, recorded as they come."""
     scans = []
     real = translit.scan_decode
-    monkeypatch.setattr(translit, "scan_decode", lambda enc, cb, mode: scans.append(enc) or real(enc, cb, mode))
+
+    def scan(enc, cb, mode, pos=0):
+        scans.append((enc, pos))
+        return real(enc, cb, mode, pos)
+
+    monkeypatch.setattr(translit, "scan_decode", scan)
+    return scans
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", ["Zq", "@a", "q", "@@", "Bx"], ids=["code", "run", "stray", "empty-run", "residue"])
+def test_decode_scans_a_long_string_from_its_first_raising_line(mode, bad, monkeypatch):
+    lines = _good_lines(LONG_CB, 3000)
+    lines[1700] += bad
+    lines[2200] += "Zq @b"  # a later bad line; "@a" on line 1700 runs on to its '@'
+    enc = "\n".join(lines)
+    expected = _outcome(enc, LONG_CB, mode)
+    scans = _record_scans(monkeypatch)
     assert _outcome(enc, LONG_CB, mode, decode) == expected
-    # Strict mode scans the whole string once the bad line raises, for the string's first error.
-    assert scans == ([lines[1700]] if mode == "lenient" else [lines[1700], enc])
+    # Each bad line is scanned alone; the string only from a raising line, past the middle.
+    whole = [pos for text, pos in scans if text == enc]
+    assert len(whole) <= 1 and all(pos > len(enc) // 2 for pos in whole)
 
 
 _PAD = "B" * 300  # long enough for decode to use the kernel
