@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from . import textio
 from .codespace import UPPER, CodeSpaceProfile
-from .errors import ConfigError
+from .errors import ConfigError, TrainingError
 
 if TYPE_CHECKING:  # each is imported by the one loader that uses it
     from .freqanalysis import ScriptRange
@@ -165,8 +165,8 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 
 def load_training_params(path: str) -> tuple[TrainingParams, int]:
-    """Returns (params, hash_buckets). Key `preset` picks input/output defaults."""
-    from .langid import DEFAULT_HASH_BUCKETS, TrainingParams
+    """Returns (params, hash_buckets), checked as `langid.train` checks them. Key `preset` picks the defaults."""
+    from .langid import DEFAULT_HASH_BUCKETS, TrainingParams, _check_params
 
     pairs = load_kv(path)
     _check_keys(pairs, _TRAINING_KEYS, path)
@@ -188,4 +188,8 @@ def load_training_params(path: str) -> tuple[TrainingParams, int]:
         seed=_get_int(pairs, "seed", base.seed, path),
     )
     buckets = _get_int(pairs, "hash_buckets", DEFAULT_HASH_BUCKETS, path)
+    try:
+        _check_params(params, buckets)
+    except TrainingError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return params, buckets

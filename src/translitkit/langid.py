@@ -55,6 +55,11 @@ class Prediction:
     distribution: dict[str, float]
 
 
+def _check_buckets(hash_buckets: int, error: type[Exception]) -> None:
+    if hash_buckets > 1 << 32:
+        raise error(f"hash_buckets {hash_buckets} is above 2**32, the most uint32 bucket ids can tell")
+
+
 def _any_bit(rows: np.ndarray) -> np.ndarray:
     """Per row of float64 `rows`, whether any bit of it is set: the rows a model keeps.
 
@@ -91,8 +96,7 @@ class LangIdModel:
         if ids is None:
             ids = np.flatnonzero(_any_bit(weights))
             weights = weights[ids]
-        if hash_buckets > 1 << 32:
-            raise ConfigError(f"hash_buckets {hash_buckets} is above 2**32, the most uint32 bucket ids can tell")
+        _check_buckets(hash_buckets, ConfigError)
         ids = np.asarray(ids)
         if ids.size and not (0 <= ids[0] and ids[-1] < hash_buckets and np.all(ids[1:] > ids[:-1])):
             raise ConfigError(f"bucket ids are not strictly increasing and below hash_buckets {hash_buckets}")
@@ -173,7 +177,8 @@ def _features(texts: Sequence[str], lo: int, hi: int, min_count: int, buckets: i
     The hash is not injective, so a gram is told by its code points: code point
     i of a window, plus one (a NUL is not an absent character), sits in bits
     21*(i % 3) of uint64 column i // 3. ``text * buckets + bucket`` fits in
-    int64 because `train` has allocated its `buckets`-row weight matrix first.
+    int64 because `buckets` is at most 2**32, as `train` checks first, and
+    there are fewer than 2**31 texts.
     """
     owner, ids, start, size = _featurize(texts, lo, hi, buckets)
     cp, cols = _code_points(texts), np.zeros(((hi + 2) // 3, ids.size), dtype=np.uint64)
@@ -211,6 +216,7 @@ def _check_params(params: TrainingParams, hash_buckets: int) -> None:
     ):
         if not ok:
             raise TrainingError(what)
+    _check_buckets(hash_buckets, TrainingError)
 
 
 def train(
@@ -222,7 +228,7 @@ def train(
     """SGD over examples in the given order; deterministic for fixed inputs.
 
     N-grams occurring fewer than `min_count` times in the whole corpus are
-    dropped. Bad parameters and an impossible weight matrix are a TrainingError.
+    dropped. Bad parameters are a TrainingError, raised before any featurizing.
     """
     params = params or TrainingParams()
     _check_params(params, hash_buckets)
@@ -238,20 +244,19 @@ def train(
         raise TrainingError(f"labels must be a list of distinct non-empty strings, got {label_list!r}")
     lo, hi = params.ngram_range
     n_labels = len(label_list)
-    try:
-        weights = np.zeros((hash_buckets, n_labels))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
-        raise TrainingError(
-            f"cannot allocate the weight matrix of {hash_buckets} buckets x {n_labels} labels"
-            f" ({hash_buckets * n_labels * 8:,} bytes)"
-        ) from None
     label_idx = {lab: i for i, lab in enumerate(label_list)}
     per_text = _features([text for text, _ in data], lo, hi, params.min_count, hash_buckets)
+    # SGD can change only the rows of buckets some example holds: `held` lists them,
+    # sorted, and row r of `weights` is bucket held[r]'s.
+    held, rows_of = np.unique(np.concatenate([idx for idx, _ in per_text]), return_inverse=True)
+    rows_of = np.split(rows_of, np.cumsum([idx.size for idx, _ in per_text])[:-1])
+    weights = np.zeros((held.size, n_labels))
     lr = params.learning_rate
-    # Per example: its buckets, their counts, the counts times the learning rate, its label.
-    feats = [(idx, cnt, lr * cnt[:, None], label_idx[lab]) for (idx, cnt), (_, lab) in zip(per_text, data)]
+    # Per example: its rows, their counts, the counts times the learning rate, its label.
+    feats = [(idx, cnt, lr * cnt[:, None], label_idx[lab])
+             for idx, (_, cnt), (_, lab) in zip(rows_of, per_text, data)]
     bias = np.zeros(n_labels)
-    step = np.empty((max((idx.size for idx, _ in per_text), default=0), n_labels))  # the rows' update
+    step = np.empty((max(idx.size for idx in rows_of), n_labels))  # the rows' update
     for _ in range(params.epochs):
         for idx, cnt, lr_cnt, y in feats:
             if idx.size:
@@ -269,21 +274,8 @@ def train(
                 rows -= np.multiply(lr_cnt, p, out=step[: idx.size])
                 weights[idx] = rows
             bias -= lr * p
-    # Only the rows of the buckets some example holds can be nonzero. They are
-    # found and copied in the memory the features leave, with an in-place sort
-    # where np.unique would copy. The sort is stable, as `_features`' np.unique
-    # ran one: a first quicksort pages in some 300 kB of numpy's code.
-    del feats
-    touched = np.concatenate([idx for idx, _ in per_text])
-    del per_text
-    touched.sort(kind="stable")
-    first = np.ones(touched.size, dtype=bool)  # where each bucket's run starts
-    first[1:] = touched[1:] != touched[:-1]
-    touched = touched[first]
-    rows = weights[touched]
-    del weights  # before the model allocates its index, so that the peak does not rise
-    kept = _any_bit(rows)
-    return LangIdModel(label_list, (lo, hi), hash_buckets, rows[kept], bias, params, ids=touched[kept])
+    kept = _any_bit(weights)
+    return LangIdModel(label_list, (lo, hi), hash_buckets, weights[kept], bias, params, ids=held[kept])
 
 
 def predict(text: str, model: LangIdModel) -> Prediction:

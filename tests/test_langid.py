@@ -99,7 +99,7 @@ def test_langid_train_rejects_bad_params_with_exit_2(tmp_path, capsys, flags, pa
     out = tmp_path / "model.lid"
     # `flags` are global options: whatever the log level, stderr holds the one error line.
     assert main([*flags, "langid-train", str(labeled), "--params", str(cfg), "-o", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: TrainingError: {message}\n"
+    assert capsys.readouterr().err == f"error: ConfigError: {cfg}: {message}\n"
     assert not out.exists()
 
 
@@ -107,33 +107,36 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def test_langid_train_too_large_a_weight_matrix_exits_2(tmp_path):
+def test_langid_train_too_many_buckets_exits_2(tmp_path):
     labeled = tmp_path / "train.txt"
     labeled.write_text("".join(f"__label__{tag}\t{text}\n" for text, tag in toy_examples()), encoding="utf-8")
     cfg = tmp_path / "params.cfg"
-    cfg.write_text("hash_buckets = 10000000000000\n", encoding="utf-8")
     out = tmp_path / "model.lid"
-    # Under a 2 GiB address space the allocation fails whatever the host's overcommit setting.
-    proc = subprocess.run(
-        [sys.executable, "-m", "translitkit", "langid-train", str(labeled),
-         "--params", str(cfg), "-o", str(out)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        preexec_fn=_limit_address_space,
-        timeout=120,
-    )
-    err = proc.stderr.decode("utf-8")
-    assert proc.returncode == 2, err
-    assert err == (
-        "error: TrainingError: cannot allocate the weight matrix of 10000000000000 buckets x 2 labels"
-        " (160,000,000,000,000 bytes)\n"
-    )
-    assert not out.exists()
+    # 2**32 buckets pass the bound, but under a 2 GiB address space the model's
+    # 16 GiB bucket index fails to allocate whatever the host's overcommit setting.
+    for buckets, message in (
+        (10**13, f"{cfg}: hash_buckets 10000000000000 is above 2**32, the most uint32 bucket ids can tell"),
+        (1 << 32, "cannot allocate the bucket index of 4294967296 buckets"),
+    ):
+        cfg.write_text(f"hash_buckets = {buckets}\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "translitkit", "langid-train", str(labeled),
+             "--params", str(cfg), "-o", str(out)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            preexec_fn=_limit_address_space,
+            timeout=120,
+        )
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2, err
+        assert err == f"error: ConfigError: {message}\n"
+        assert not out.exists()
 
 
-def test_train_rejects_a_weight_matrix_larger_than_memory_can_address():
-    with pytest.raises(TrainingError, match=f"cannot allocate the weight matrix of {10**18} buckets x 2 labels"):
-        train(toy_examples(), FAST, hash_buckets=10**18)
+def test_train_refuses_more_than_2_to_the_32_buckets_before_featurizing():
+    with mock.patch.object(langid, "_features", side_effect=AssertionError("featurized")):
+        with pytest.raises(TrainingError, match=r"^hash_buckets 4294967297 is above 2\*\*32"):
+            train(toy_examples(), FAST, hash_buckets=(1 << 32) + 1)
 
 
 def test_empty_text_is_other_uniform():

@@ -9,19 +9,21 @@ written into its row once and is not loosened later.
 from __future__ import annotations
 
 import io
+import random
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from translitkit import codebook, langid
+from translitkit import codebook, langid, synth
 from translitkit.cli import main
 
 BUCKETS = 1 << 20
 LABELS = ["bo", "mn", "ug", "zh", "other"]
 DENSE = 8 * BUCKETS * len(LABELS)  # the bytes of one dense weight matrix
 ROWS = 36_000  # about the kept rows of the larger route classifier (3.4% of its buckets)
+LABELED = synth.labeled_lines(random.Random(0), 150, LABELS)  # the size of the benchmark's build set
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +54,17 @@ def _pipeline(root) -> None:
     assert main(["pipeline", "--config", str(root / "pipeline.cfg")]) == 0
 
 
-# Per row: the call, and the models it loads. Its peak stays below a quarter of
-# their dense weight matrices.
+def _train(params: langid.TrainingParams):
+    return lambda root: langid.train(LABELED, params, LABELS, BUCKETS)
+
+
+# Per row: the call, and the models it loads or trains. Its peak stays below a
+# quarter of their dense weight matrices: 10.5 MB a model.
 CONTRACT = {
     "load_model, version 2": (_load, 1),
     "pipeline, empty input": (_pipeline, 2),
+    "train, input preset": (_train(langid.TrainingParams.input_defaults()), 1),
+    "train, output preset": (_train(langid.TrainingParams.output_defaults()), 1),
 }
 
 
