@@ -163,22 +163,10 @@ def cmd_stats(args) -> int:
     from . import bpe, metrics
 
     model = bpe.load_model(args.bpe)
-    files = [list(textio.read_file(path)) for path in (args.original, args.encoded)]
-    # Each line end counts as one byte, CRLF too; terminators are not tokens.
-    ob, eb, fr = metrics.file_compression(*([t + "\n" if end else t for t, end in f] for f in files))
-    ot, et, tr = metrics.token_compression(*([t for t, _ in f] for f in files), model)
-    report = metrics.CompressionReport(
-        ob, eb, fr, ot, et, tr, language_tag=args.lang, empty=(ob == 0 and ot == 0)
-    )
-    method = ""
-    if args.codebook:
-        method = codebook.load_path(args.codebook).strategy
-    out = sys.stdout
-    if args.human:
-        out.write(metrics.format_human([(method, report)]) + "\n")
-    else:
-        out.write(report.to_json() + "\n")
-    out.flush()
+    method = codebook.load_path(args.codebook).strategy if args.codebook else ""
+    report = metrics.lines_report(textio.read_file(args.original), textio.read_file(args.encoded), model, args.lang)
+    sys.stdout.write((metrics.format_human([(method, report)]) if args.human else report.to_json()) + "\n")
+    sys.stdout.flush()
     return EXIT_OK
 
 

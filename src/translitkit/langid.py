@@ -60,6 +60,13 @@ def _check_buckets(hash_buckets: int, error: type[Exception]) -> None:
         raise error(f"hash_buckets {hash_buckets} is above 2**32, the most uint32 bucket ids can tell")
 
 
+def _bucket_index(hash_buckets: int) -> np.ndarray:
+    try:
+        return np.zeros(hash_buckets, dtype=np.int32)
+    except MemoryError:
+        raise ConfigError(f"cannot allocate the bucket index of {hash_buckets} buckets") from None
+
+
 def _any_bit(rows: np.ndarray) -> np.ndarray:
     """Per row of float64 `rows`, whether any bit of it is set: the rows a model keeps.
 
@@ -73,9 +80,10 @@ class LangIdModel:
 
     `ids` holds the kept rows' buckets, strictly increasing; row 0 of `table`
     is zeros and row r + 1 is bucket ids[r]'s; `index` maps each bucket to its
-    row of `table`. A model is built from the dense (hash_buckets, n_labels)
-    `weights` matrix or, when `ids` is given, from the rows of those buckets
-    alone, as `train` and `load_model` build theirs.
+    row of `table`, and `train` passes it in zeroed. A model is built from the
+    dense (hash_buckets, n_labels) `weights` matrix or, when `ids` is given,
+    from the rows of those buckets alone, as `train` and `load_model` build
+    theirs.
     """
 
     def __init__(
@@ -87,6 +95,7 @@ class LangIdModel:
         bias: np.ndarray,
         training_params: TrainingParams,
         ids: np.ndarray | None = None,
+        index: np.ndarray | None = None,
     ):
         weights = np.asarray(weights, dtype=np.float64)
         rows = hash_buckets if ids is None else len(ids)
@@ -108,10 +117,7 @@ class LangIdModel:
         self.ids = np.asarray(ids, dtype=np.uint32)
         self.table = np.zeros((len(ids) + 1, len(labels)))
         self.table[1:] = weights
-        try:
-            self.index = np.zeros(hash_buckets, dtype=np.int32)
-        except MemoryError:
-            raise ConfigError(f"cannot allocate the bucket index of {hash_buckets} buckets") from None
+        self.index = _bucket_index(hash_buckets) if index is None else index
         self.index[self.ids] = np.arange(1, len(ids) + 1, dtype=np.int32)
 
     @property
@@ -228,10 +234,11 @@ def train(
     """SGD over examples in the given order; deterministic for fixed inputs.
 
     N-grams occurring fewer than `min_count` times in the whole corpus are
-    dropped. Bad parameters are a TrainingError, raised before any featurizing.
+    dropped. Bad parameters or an unallocatable bucket index fail before featurizing.
     """
     params = params or TrainingParams()
     _check_params(params, hash_buckets)
+    index = _bucket_index(hash_buckets)
     data = list(examples)
     seen = {lab for _, lab in data}
     label_list = list(labels) if labels is not None else sorted(seen)
@@ -275,7 +282,7 @@ def train(
                 weights[idx] = rows
             bias -= lr * p
     kept = _any_bit(weights)
-    return LangIdModel(label_list, (lo, hi), hash_buckets, weights[kept], bias, params, ids=held[kept])
+    return LangIdModel(label_list, (lo, hi), hash_buckets, weights[kept], bias, params, ids=held[kept], index=index)
 
 
 def predict(text: str, model: LangIdModel) -> Prediction:

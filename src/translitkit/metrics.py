@@ -1,7 +1,7 @@
 """Compression measures: UTF-8 byte ratio and token-count ratio, original vs encoded.
 
-Each measure counts the pieces it is given as they are; a caller reading a
-file decides what a line end counts (see `cli.cmd_stats`).
+Each side is walked once: `lines_report` counts `(text, end)` lines, as
+`cmd_stats` reads them; the other functions count the strings they are given.
 """
 
 from __future__ import annotations
@@ -32,47 +32,62 @@ class CompressionReport:
         return json.dumps(dataclasses.asdict(self), ensure_ascii=False)
 
 
-def _chunks(source: str | Iterable[str]) -> Iterable[str]:
-    return [source] if isinstance(source, str) else source
+def _count(lines: Iterable[tuple[str, str]], model: BpeModel | None) -> tuple[int, int]:
+    """UTF-8 bytes and `model` tokens of `(text, end)` lines; a line end is one byte, no token."""
+    size = tokens = 0
+    for text, end in lines:
+        size += len(text.encode("utf-8")) + (end != "")
+        if model is not None:
+            tokens += len(model.tokenize(text))
+    return size, tokens
 
 
-def utf8_size(source: str | Iterable[str]) -> int:
-    """Exact UTF-8 byte count of the pieces."""
-    return sum(len(chunk.encode("utf-8")) for chunk in _chunks(source))
+def _pieces(source: str | Iterable[str]) -> Iterable[tuple[str, str]]:
+    return ((piece, "") for piece in ([source] if isinstance(source, str) else source))
+
+
+def _ratio(original: int, encoded: int, undefined: str) -> float:
+    """original/encoded, 1.0 for two empty sides; an empty encoded side alone raises `undefined`."""
+    if original and not encoded:
+        raise ComputationError(undefined.format(original))
+    return original / encoded if encoded else 1.0
+
+
+_TOKEN_UNDEFINED = "token ratio undefined: encoded stream has no tokens, original has {}"
 
 
 def file_compression(
     original: str | Iterable[str], encoded: str | Iterable[str]
 ) -> tuple[int, int, float]:
     """(original_bytes, encoded_bytes, original/encoded). Two empty streams give ratio 1.0."""
-    ob = utf8_size(original)
-    eb = utf8_size(encoded)
-    if eb == 0:
-        if ob > 0:
-            raise ComputationError(
-                f"file ratio undefined: encoded stream is empty, original has {ob} bytes"
-            )
-        return 0, 0, 1.0
-    return ob, eb, ob / eb
-
-
-def _token_count(source: str | Iterable[str], model: BpeModel) -> int:
-    return sum(len(model.tokenize(chunk)) for chunk in _chunks(source))
+    report = compression_report(original, encoded)
+    return report.original_bytes, report.encoded_bytes, report.file_ratio
 
 
 def token_compression(
     original: str | Iterable[str], encoded: str | Iterable[str], model: BpeModel
 ) -> tuple[int, int, float]:
     """(original_tokens, encoded_tokens, original/encoded) under `model`."""
-    ot = _token_count(original, model)
-    et = _token_count(encoded, model)
-    if et == 0:
-        if ot > 0:
-            raise ComputationError(
-                f"token ratio undefined: encoded stream has no tokens, original has {ot}"
-            )
-        return 0, 0, 1.0
-    return ot, et, ot / et
+    _, ot = _count(_pieces(original), model)
+    _, et = _count(_pieces(encoded), model)
+    return ot, et, _ratio(ot, et, _TOKEN_UNDEFINED)
+
+
+def lines_report(
+    original: Iterable[tuple[str, str]],
+    encoded: Iterable[tuple[str, str]],
+    model: BpeModel | None = None,
+    language_tag: str = "",
+) -> CompressionReport:
+    """The report over two streams of `(text, end)` lines, each walked once.
+
+    Token fields stay zero/None without a model.
+    """
+    ob, ot = _count(original, model)
+    eb, et = _count(encoded, model)
+    fr = _ratio(ob, eb, "file ratio undefined: encoded stream is empty, original has {} bytes")
+    tr = None if model is None else _ratio(ot, et, _TOKEN_UNDEFINED)
+    return CompressionReport(ob, eb, fr, ot, et, tr, language_tag, ob == 0 and ot == 0)
 
 
 def compression_report(
@@ -81,19 +96,8 @@ def compression_report(
     model: BpeModel | None = None,
     language_tag: str = "",
 ) -> CompressionReport:
-    """Build a CompressionReport; token fields stay zero/None without a model.
-
-    Non-str iterables are materialised because both measures need a pass.
-    """
-    original = list(_chunks(original))
-    encoded = list(_chunks(encoded))
-    ob, eb, fr = file_compression(original, encoded)
-    if model is not None:
-        ot, et, tr = token_compression(original, encoded, model)
-    else:
-        ot, et, tr = 0, 0, None
-    empty = ob == 0 and ot == 0
-    return CompressionReport(ob, eb, fr, ot, et, tr, language_tag, empty)
+    """`lines_report` over the strings given, each counted as it is."""
+    return lines_report(_pieces(original), _pieces(encoded), model, language_tag)
 
 
 def format_human(reports: Iterable[tuple[str, CompressionReport]]) -> str:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from translitkit import codebook, langid, synth, textio, translit
+from translitkit.bpe import BpeModel, save_model
 from translitkit.cli import main
 from translitkit.config import load_pipeline_config
 from translitkit.errors import TranslitError
@@ -18,7 +19,7 @@ from translitkit.pipeline import Pipeline
 from translitkit.textio import BLOCK_SIZE
 from translitkit.translit import from_latin, to_latin
 
-from reference import ref_encode
+from reference import naive_tokenize, ref_encode
 
 LOW_RESOURCE = ("bo", "mn", "ug")
 
@@ -284,6 +285,96 @@ def test_stats_counts_a_bom_crlf_pair_as_the_lf_pair(workspace, tmp_path, capsys
     assert reports[0] == reports[1]
     assert reports[0]["original_bytes"] == sum(len(text.encode("utf-8")) + 1 for text in lines)
     assert reports[0]["encoded_bytes"] == sum(len(text.encode("utf-8")) + 1 for text in encoded)
+
+
+def test_stats_loads_the_codebook_before_tokenizing(workspace, tmp_path, capsys):
+    root, _, _ = workspace
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("#strategy=nope freq_digest=0\n", encoding="utf-8")
+    args = ["stats", str(root / "corpus.txt"), str(root / "encoded.txt"), "--bpe", str(root / "bpe")]
+    with mock.patch.object(BpeModel, "tokenize", side_effect=AssertionError("tokenized")):
+        assert main([*args, "--codebook", str(bad)]) == 2
+        expected = f"{bad} line 1: unknown strategy 'nope'; expected one of {codebook.STRATEGIES}"
+        assert capsys.readouterr().err == f"error: ConfigError: {expected}\n"
+        assert main([*args, "--codebook", str(tmp_path / "missing.tsv")]) == 2
+        assert capsys.readouterr().err.startswith("error: io: ")
+
+
+@pytest.mark.parametrize("encoded, message", [
+    (b"", "ComputationError: file ratio undefined: encoded stream is empty, original has 2 bytes"),
+    (b"\n\n", "ComputationError: token ratio undefined: encoded stream has no tokens, original has 1"),
+    (b"ok\n\xff\n", "InputError: {path}: invalid UTF-8 at byte offset 3"),
+])
+def test_stats_error_paths_exit_2(workspace, tmp_path, capsys, encoded, message):
+    root, _, _ = workspace
+    (tmp_path / "original.txt").write_bytes(b"x\n")
+    path = tmp_path / "encoded.txt"
+    path.write_bytes(encoded)
+    assert main(["stats", str(tmp_path / "original.txt"), str(path), "--bpe", str(root / "bpe")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(path=path)}\n")
+
+
+_ORACLE_MERGES = [("a", "b"), ("ab", "c"), ("ཀ", "ཀ"), ("c", "c")]
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    """A directory holding a small BPE model under `bpe/`."""
+    root = tmp_path_factory.mktemp("stats-oracle")
+    (root / "bpe").mkdir()
+    save_model(BpeModel(["a", "b", "c", "ཀ", "ab", "abc", "ཀཀ", "cc"], _ORACLE_MERGES), str(root / "bpe"))
+    return root
+
+
+@st.composite
+def _stats_file(draw) -> bytes:
+    """Lines, blank, whitespace-only or holding a lone CR, each ended by LF or CRLF.
+
+    The file may start with a BOM, and its last line may have no end.
+    """
+    lines = draw(st.lists(st.text(st.sampled_from("abcཀᠠ \t\r"), max_size=8), max_size=6))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return (draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, ends))).encode("utf-8")
+
+
+def _stats_oracle(original: bytes, encoded: bytes) -> tuple[int, str]:
+    """(exit code, output) of `stats` from each file's whole list of lines.
+
+    A leading BOM counts nothing, a line end one byte and no token, and
+    `naive_tokenize` counts the tokens.
+    """
+    counts = []
+    for data in (original, encoded):
+        *lines, last = data.decode("utf-8").removeprefix("\ufeff").split("\n")
+        texts = [line.removesuffix("\r") for line in lines]
+        size = sum(len(text.encode("utf-8")) + 1 for text in texts) + len(last.encode("utf-8"))
+        counts.append((size, sum(len(naive_tokenize(text, _ORACLE_MERGES)) for text in [*texts, last])))
+    (ob, ot), (eb, et) = counts
+    if ob and not eb:
+        return 2, f"error: ComputationError: file ratio undefined: encoded stream is empty, original has {ob} bytes\n"
+    if ot and not et:
+        return 2, f"error: ComputationError: token ratio undefined: encoded stream has no tokens, original has {ot}\n"
+    report = {
+        "original_bytes": ob, "encoded_bytes": eb, "file_ratio": ob / eb if eb else 1.0,
+        "original_tokens": ot, "encoded_tokens": et, "token_ratio": ot / et if et else 1.0,
+        "language_tag": "", "empty": ob == 0 and ot == 0,
+    }
+    return 0, json.dumps(report, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(original=_stats_file(), encoded=_stats_file())
+def test_stats_matches_the_whole_file_oracle(oracle_dir, original, encoded):
+    paths = [oracle_dir / "original.txt", oracle_dir / "encoded.txt"]
+    paths[0].write_bytes(original)
+    paths[1].write_bytes(encoded)
+    stderr = io.StringIO()
+    with mock.patch.object(sys, "stderr", stderr):
+        status, out = _pipe(["stats", *map(str, paths), "--bpe", str(oracle_dir / "bpe")], b"")
+    assert (status, out.decode("utf-8") or stderr.getvalue()) == _stats_oracle(original, encoded)
 
 
 def test_bpe_merge_cli(workspace, tmp_path, capsys):

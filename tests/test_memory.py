@@ -16,8 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from translitkit import codebook, langid, synth
+from translitkit import bpe, codebook, langid, synth
 from translitkit.cli import main
+from translitkit.translit import to_latin
 
 BUCKETS = 1 << 20
 LABELS = ["bo", "mn", "ug", "zh", "other"]
@@ -81,3 +82,56 @@ def test_peak_allocation_stays_within_its_bound(workspace, monkeypatch, capsys, 
     finally:
         tracemalloc.stop()
     assert peak < bound, f"{row}: peak {peak:,} bytes, bound {bound:,}"
+
+
+# The lines of the benchmark's `pure_lines`: script-pure, 40 to 400 characters.
+LOW = ("bo", "mn", "ug")
+
+
+def _pure_lines(n: int) -> list[str]:
+    rng = random.Random(n)
+    return [synth.script_line(rng, rng.choice(LOW), 40, 400) for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def growth_inputs(tmp_path_factory):
+    """Inputs of the `GROWTH` rows: `pure_lines` pairs at both `stats` sizes and a BPE model."""
+    root = tmp_path_factory.mktemp("growth")
+    cb = codebook.build_basic(sorted({ord(c) for tag in LOW for c in synth.SCRIPT_CHARS[tag]}))
+    for n in (250, 1000):
+        lines = _pure_lines(n)
+        encoded = [to_latin(line, cb) for line in lines]
+        (root / f"original-{n}.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        (root / f"encoded-{n}.txt").write_text("".join(line + "\n" for line in encoded), encoding="utf-8")
+    bpe.save_model(bpe.train(encoded[:200], 100), str(root / "bpe"))
+    return root
+
+
+def _stats(root, n: int) -> None:
+    assert main(["stats", str(root / f"original-{n}.txt"), str(root / f"encoded-{n}.txt"),
+                 "--bpe", str(root / "bpe")]) == 0
+
+
+# Per row: the command, its input shape, the two input sizes (one and four times),
+# and how many bytes more the peak may take at the larger size: what the command
+# holds must not grow with its input.
+GROWTH = {
+    "stats": (_stats, "many lines", (250, 1000), 256 << 10),
+}
+
+
+@pytest.mark.parametrize("row", list(GROWTH))
+def test_peak_allocation_does_not_grow_with_the_input(growth_inputs, capsys, row):
+    call, shape, sizes, bound = GROWTH[row]
+    call(growth_inputs, sizes[0])  # imports and first-use caches, outside the measurement
+    peaks = []
+    for n in sizes:
+        tracemalloc.start()
+        try:
+            call(growth_inputs, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    growth = peaks[1] - peaks[0]
+    assert growth <= bound, f"{row}, {shape}: peaks {peaks[0]:,} and {peaks[1]:,} bytes, bound +{bound:,}"
