@@ -18,9 +18,10 @@ from .textio import BLOCK_SIZE
 _UTF32 = "utf-32-le"
 _NO_CODE = 0xFFFFFFFF  # above U+10FFFF, so no codebook entry's code point
 _WIDTH = 4  # codes of up to four letters: ids below 26 * 27**3 = 511,758 index a dense table (2 MB)
-# Strings up to this many code points (a block of encoded text, or a verify
-# batch once encoded) decode in working arrays kept from call to call; a longer
-# one gets arrays of its own, freed when the call returns.
+# Strings up to this many code points (a block of encoded text, a verify batch
+# once encoded, or a run of the lines of a longer string, as
+# `translit.decode_block` cuts it) decode in working arrays kept from call to
+# call; a longer line gets arrays of its own, freed when the call returns.
 _SCRATCH_MAX = 4 * BLOCK_SIZE
 
 

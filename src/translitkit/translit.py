@@ -143,7 +143,8 @@ def to_latin(text: str, cb: Codebook, transform: Mapping[int, str] | None = None
 # lines of a string in one vectorized pass and marks those it cannot decode
 # exactly; the scalar scan is the general left-to-right parser that reports
 # errors and makes the lenient repairs. Every decode of more than a short
-# string goes one way, `decode_block`: a kernel pass, then a scan of each
+# string goes one way, `decode_block`: a kernel pass over each run of whole
+# lines of up to `kernel._SCRATCH_MAX` code points, then a scan of each
 # marked line alone. `kernel` is imported where it is called, so that a
 # process that never reaches it does not import numpy.
 
@@ -223,17 +224,35 @@ def _scanned(enc: str, cb: Codebook, mode: str) -> DecodeResult | TranslitError:
 
 
 def decode_block(enc: str, cb: Codebook, mode: str) -> tuple[str, dict[int, DecodeResult | TranslitError]]:
-    """One `kernel.kernel_lines` pass over the '\\n'-separated lines of `enc`: ``(text, scans)``.
+    """`kernel.kernel_lines` over the '\\n'-separated lines of `enc`: ``(text, scans)``.
 
+    The kernel takes runs of whole lines of at most `kernel._SCRATCH_MAX` code
+    points, so a string of lines decodes in the arrays the kernel keeps and
+    one no longer than that in one call; a longer line goes whole, alone.
     `text` is the kernel's, marked lines left empty; `scans` maps each marked
     line's number, in order, to its own `scan_decode` or the error it raised.
     """
     from . import kernel
 
     _check_mode(mode)
-    text, bad = kernel.kernel_lines(enc, cb)
-    lines = enc.split("\n") if bad else []
-    return text, {i: _scanned(lines[i], cb, mode) for i in bad}
+    most = kernel._SCRATCH_MAX
+    texts: list[str] = []
+    scans: dict[int, DecodeResult | TranslitError] = {}
+    start = first = 0  # the piece's first code point and line number
+    while True:
+        end = len(enc) if len(enc) - start <= most else enc.rfind("\n", start, start + most + 1)
+        if end < 0:  # no line ends within `most`: the line at `start` goes alone
+            end = enc.find("\n", start + most)
+            end = len(enc) if end < 0 else end
+        piece = enc[start:end]
+        text, bad = kernel.kernel_lines(piece, cb)
+        texts.append(text)
+        if bad:
+            lines = piece.split("\n")
+            scans.update((first + i, _scanned(lines[i], cb, mode)) for i in bad)
+        if end == len(enc):
+            return "\n".join(texts), scans
+        start, first = end + 1, first + piece.count("\n") + 1
 
 
 def decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:

@@ -624,6 +624,70 @@ def test_predict_is_a_batch_of_one(script_model):
     assert predict_many([], script_model) == []
 
 
+@pytest.fixture(scope="module")
+def wide_model():
+    """A model of the output preset's n-grams, 2 to 4, so that lo > 1."""
+    rng = random.Random(48)
+    params = TrainingParams(ngram_range=(2, 4), epochs=1, min_count=1)
+    return train(synth.labeled_lines(rng, 30), params, hash_buckets=1 << 12)
+
+
+def _in_pieces(texts: list[str], model: LangIdModel, piece: int) -> list:
+    with mock.patch.object(langid, "_PIECE", piece):
+        return _bits(predict_many(texts, model))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.one_of(st.text(_GRAM_CHARS, max_size=30), st.sampled_from(_ROUTE_LINES)), max_size=12),
+    wide=st.booleans(),
+)
+def test_predict_many_in_pieces_of_any_size_matches_bit_for_bit(script_model, wide_model, texts, wide):
+    """Pieces of 1, 7 and 64 windows give the sums of a single piece: empty texts, texts
+    shorter than lo, astral characters and lone surrogates, texts cut or not."""
+    model = wide_model if wide else script_model
+    want = _bits(predict_many(texts, model))
+    for piece in (1, 7, 64):
+        assert _in_pieces(texts, model, piece) == want
+
+
+def test_a_text_of_thousands_of_characters_in_pieces_matches_bit_for_bit(script_model, wide_model):
+    text = " ".join(_ROUTE_LINES * 2)
+    assert len(text) > 2000
+    for model in (script_model, wide_model):
+        texts = ["", "x", text, text[:100] + "\U0001F600\ud800", text]
+        want = _bits(predict_many(texts, model))
+        for piece in (1, 7, 64):
+            assert _in_pieces(texts, model, piece) == want
+
+
+def _close_to_reference(pred, text: str, model: LangIdModel) -> None:
+    label, dist = ref_predict(text, model)
+    assert pred.label == label
+    assert list(pred.distribution) == list(dist)
+    for lab, p in dist.items():
+        assert abs(pred.distribution[lab] - p) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    texts=st.lists(st.text(_GRAM_CHARS, min_size=65, max_size=400), min_size=1, max_size=3),
+    wide=st.booleans(),
+)
+def test_texts_longer_than_a_piece_match_the_scalar_reference(script_model, wide_model, texts, wide):
+    model = wide_model if wide else script_model
+    with mock.patch.object(langid, "_PIECE", 64):
+        preds = predict_many(texts, model)
+    for text, pred in zip(texts, preds):
+        _close_to_reference(pred, text, model)
+
+
+def test_a_text_longer_than_a_piece_matches_the_scalar_reference(script_model):
+    text = " ".join(synth.mixed_lines(random.Random(47), 600))
+    assert len(text) > langid._PIECE
+    _close_to_reference(predict(text, script_model), text, script_model)
+
+
 # A small alphabet next to the wide one, so that grams repeat and min_count bites.
 _TRAIN_CHARS = st.one_of(_GRAM_CHARS, st.sampled_from("ab\x00\U0001F600\ud800"))
 

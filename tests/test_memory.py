@@ -9,14 +9,16 @@ written into its row once and is not loosened later.
 from __future__ import annotations
 
 import io
+import os
 import random
 import sys
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from translitkit import bpe, codebook, langid, synth
+from translitkit import bpe, codebook, langid, synth, translit
 from translitkit.cli import main
 from translitkit.translit import to_latin
 
@@ -95,15 +97,30 @@ def _pure_lines(n: int) -> list[str]:
 
 @pytest.fixture(scope="module")
 def growth_inputs(tmp_path_factory):
-    """Inputs of the `GROWTH` rows: `pure_lines` pairs at both `stats` sizes and a BPE model."""
+    """Inputs of the `GROWTH` rows at both sizes: `pure_lines` pairs, the same lines as one
+    line, a BPE model, a codebook, two classifiers and a pipeline config that loads them."""
     root = tmp_path_factory.mktemp("growth")
     cb = codebook.build_basic(sorted({ord(c) for tag in LOW for c in synth.SCRIPT_CHARS[tag]}))
-    for n in (250, 1000):
+    codebook.save_path(cb, str(root / "cb.tsv"))
+    for n in (250, 1000, 4000):
         lines = _pure_lines(n)
         encoded = [to_latin(line, cb) for line in lines]
         (root / f"original-{n}.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         (root / f"encoded-{n}.txt").write_text("".join(line + "\n" for line in encoded), encoding="utf-8")
+        (root / f"one-line-{n}.txt").write_text(" ".join(lines) + "\n", encoding="utf-8")
     bpe.save_model(bpe.train(encoded[:200], 100), str(root / "bpe"))
+    rng = np.random.default_rng(1)
+    for name, ngrams in (("input.lid", (1, 3)), ("output.lid", (2, 4))):
+        ids = np.sort(rng.choice(1 << 16, 4000, replace=False))
+        rows = rng.standard_normal((ids.size, len(LABELS)))
+        model = langid.LangIdModel(
+            LABELS, ngrams, 1 << 16, rows, np.zeros(len(LABELS)), langid.TrainingParams(), ids=ids
+        )
+        langid.save_model(model, str(root / name))
+    (root / "pipeline.cfg").write_text(
+        "codebook = cb.tsv\ninput_model = input.lid\noutput_model = output.lid\nmodel_stage = identity\n",
+        encoding="utf-8",
+    )
     return root
 
 
@@ -112,11 +129,56 @@ def _stats(root, n: int) -> None:
                  "--bpe", str(root / "bpe")]) == 0
 
 
+def _run_filter(args: list[str], path) -> int:
+    """`main(args)` reading stdin from `path` and writing stdout to the null device:
+    the bytes of `path`."""
+    saved = sys.stdin, sys.stdout
+    with open(path, "rb") as raw, open(os.devnull, "w", encoding="utf-8") as sink:
+        sys.stdin, sys.stdout = io.TextIOWrapper(raw, encoding="utf-8"), sink
+        try:
+            assert main(args) == 0
+        finally:
+            sys.stdin, sys.stdout = saved
+    return os.path.getsize(path)
+
+
+def _detect(root, n: int) -> int:
+    return _run_filter(["detect", "--model", str(root / "input.lid")], root / f"original-{n}.txt")
+
+
+def _detect_one_line(root, n: int) -> int:
+    return _run_filter(["detect", "--model", str(root / "input.lid")], root / f"one-line-{n}.txt")
+
+
+def _pipeline_lines(root, n: int) -> int:
+    return _run_filter(["pipeline", "--config", str(root / "pipeline.cfg")], root / f"original-{n}.txt")
+
+
+def _decode_string(root, n: int) -> int:
+    enc = (root / f"encoded-{n}.txt").read_text(encoding="utf-8")
+    translit.decode(enc, codebook.load_path(str(root / "cb.tsv")))
+    return len(enc.encode("utf-8"))
+
+
+@dataclass(frozen=True)
+class PerInputByte:
+    """A bound of this many bytes of peak growth per byte of input growth."""
+
+    bytes: int
+
+
 # Per row: the command, its input shape, the two input sizes (one and four times),
 # and how many bytes more the peak may take at the larger size: what the command
-# holds must not grow with its input.
+# holds must not grow with its input. A command that holds its input or output
+# whole (one line, one string) may grow by a few bytes per byte of input; such a
+# row's call returns its input's size in bytes.
 GROWTH = {
     "stats": (_stats, "many lines", (250, 1000), 256 << 10),
+    "detect": (_detect, "many lines", (250, 1000), 256 << 10),
+    "detect, one line": (_detect_one_line, "one line", (250, 1000), PerInputByte(4)),
+    "pipeline": (_pipeline_lines, "many lines", (250, 1000), 256 << 10),
+    # Both strings are longer than the kernel's kept arrays, which the smaller fills.
+    "translit.decode": (_decode_string, "one many-line string", (1000, 4000), PerInputByte(4)),
 }
 
 
@@ -124,14 +186,16 @@ GROWTH = {
 def test_peak_allocation_does_not_grow_with_the_input(growth_inputs, capsys, row):
     call, shape, sizes, bound = GROWTH[row]
     call(growth_inputs, sizes[0])  # imports and first-use caches, outside the measurement
-    peaks = []
+    peaks, inputs = [], []
     for n in sizes:
         tracemalloc.start()
         try:
-            call(growth_inputs, n)
+            inputs.append(call(growth_inputs, n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         peaks.append(peak)
+    if isinstance(bound, PerInputByte):
+        bound = bound.bytes * (inputs[1] - inputs[0])
     growth = peaks[1] - peaks[0]
     assert growth <= bound, f"{row}, {shape}: peaks {peaks[0]:,} and {peaks[1]:,} bytes, bound +{bound:,}"

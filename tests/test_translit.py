@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,6 +445,50 @@ def test_decode_lines_splits_only_when_each_line_gives_one_piece():
         ("Q", ["offset 0: unknown code segment 'Q'"]),
     ]
     assert [out.text for out in decode_lines(["BD", "B"], NEWLINE_CB)] == ["ཀ\r", "ཀ"]
+
+
+def _block_outcome(enc: str, cb: Codebook, mode: str) -> tuple:
+    text, scans = translit.decode_block(enc, cb, mode)
+    return text, [(i, _as_outcome(out)) for i, out in scans.items()]
+
+
+# Line ends with '@' groups and odd counts of '@' beside them, where pieces are cut.
+_LINE_ENDS = st.sampled_from(["\n", "\n\n", "@\n", "\n@", "@@\n@", "@\n@@", "@@@\n", "@x@\n@a@", "\n@@@"])
+
+
+@pytest.mark.parametrize("name", ["default", "long", "newline"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decode_block_in_line_end_pieces_matches_one_pass(name, data, default_codebook):
+    cb = {"default": default_codebook, "long": LONG_CB, "newline": NEWLINE_CB}[name]
+    enc = "".join(data.draw(st.lists(_encoded(cb) | _LINE_ENDS, max_size=16)))
+    for mode in MODES:
+        want = _block_outcome(enc, cb, mode)
+        for most in (1, 7, 64):
+            with mock.patch.object(kernel, "_SCRATCH_MAX", most):
+                assert _block_outcome(enc, cb, mode) == want
+
+
+def test_decode_block_takes_runs_of_whole_lines_and_a_long_line_alone(monkeypatch):
+    calls = []
+    kernel_lines = kernel.kernel_lines
+    monkeypatch.setattr(kernel, "kernel_lines", lambda enc, cb: calls.append(enc) or kernel_lines(enc, cb))
+    monkeypatch.setattr(kernel, "_SCRATCH_MAX", 8)
+    cases = [
+        ("B\nC\nBCB", ["B\nC\nBCB"]),  # no longer than the bound: one call
+        ("B\nC\nBCB\nC", ["B\nC\nBCB", "C"]),
+        ("B\nC\nBCBC\nC", ["B\nC\nBCBC", "C"]),  # a piece of the bound itself
+        ("B\nC\nBCBCB\nC", ["B\nC", "BCBCB\nC"]),
+        ("BCBCBCBCBC\nB\nC", ["BCBCBCBCBC", "B\nC"]),  # a line longer than the bound goes whole
+        ("B\nBCBCBCBCBC", ["B", "BCBCBCBCBC"]),
+    ]
+    for enc, pieces in cases:
+        calls.clear()
+        assert translit.decode_block(enc, CB, "lenient")[0] == "\n".join(kernel_lines(p, CB)[0] for p in pieces)
+        assert calls == pieces
+    # Marked lines keep their numbers in the whole string: pieces "\n\nB@" and "CCCCC@".
+    text, scans = translit.decode_block("\n\nB@\nCCCCC@", CB, "strict")
+    assert text == "\n\n\n" and list(scans) == [2, 3]
 
 
 @pytest.mark.parametrize("name", ["default", "long"])
