@@ -10,13 +10,19 @@ codebook oracle tokenizes every code of the profile. The language-id oracle
 hashes each n-gram one character at a time and scores one text at a time in
 plain floats; its training features count each text's gram strings in a
 `Counter`, and its trainer gathers an example's weight rows once for the
-scores and again for the update.
+scores and again for the update. The language-id oracles work on the dense
+(hash_buckets, n_labels) weight matrix; `dense_weights` and `compact_model`
+convert between it and a model, which holds only its rows with a bit set, and
+`v1_bytes` writes it as a version-1 file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import re
+import struct
 from collections import Counter
 
 import numpy as np
@@ -298,7 +304,7 @@ def ref_predict(text: str, model) -> tuple[str, dict[str, float]]:
     for _, b in ref_ngram_ids([text], lo, hi, model.hash_buckets):
         counts[b] = counts.get(b, 0) + 1
     scores = [float(x) for x in model.bias]
-    weights = model.weights
+    weights = dense_weights(model)
     for b, c in counts.items():
         row = weights[b]
         for j in range(len(labels)):
@@ -308,3 +314,38 @@ def ref_predict(text: str, model) -> tuple[str, dict[str, float]]:
     total = sum(exps)
     dist = {lab: e / total for lab, e in zip(labels, exps)}
     return max(labels, key=dist.__getitem__), dist
+
+
+def dense_weights(model) -> np.ndarray:
+    """The dense (hash_buckets, n_labels) weight matrix of a language-id model, built anew."""
+    return model.table[model.index]
+
+
+def compact_model(labels, ngram_range, hash_buckets: int, weights, bias, params):
+    """The `LangIdModel` of the dense matrix `weights`: its rows with any bit set, so that
+    a row of -0.0 is kept."""
+    from translitkit.langid import LangIdModel
+
+    weights = np.asarray(weights, dtype=np.float64)
+    assert weights.shape == (hash_buckets, len(labels))
+    ids = np.flatnonzero(weights.view(np.uint64).any(axis=1))
+    return LangIdModel(labels, ngram_range, hash_buckets, ids, weights[ids], bias, params)
+
+
+def v1_bytes(model, weights: np.ndarray | None = None, bias: np.ndarray | None = None) -> bytes:
+    """The version-1 `.lid` file of `model`, as its retired writer wrote it with tobytes():
+    magic, header, the dense matrix (`weights` if given) and the bias (`bias` if given)."""
+    header = {
+        "labels": model.labels,
+        "ngram_range": list(model.ngram_range),
+        "hash_buckets": model.hash_buckets,
+        "training_params": dataclasses.asdict(model.training_params),
+    }
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    return b"".join([
+        b"TKLID\x01\n",
+        struct.pack("<I", len(blob)),
+        blob,
+        np.ascontiguousarray(dense_weights(model) if weights is None else weights, dtype="<f8").tobytes(),
+        np.ascontiguousarray(model.bias if bias is None else bias, dtype="<f8").tobytes(),
+    ])

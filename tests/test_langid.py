@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ref_ngram_ids, ref_predict, ref_train, ref_train_features
+from reference import (
+    compact_model,
+    dense_weights,
+    ref_ngram_ids,
+    ref_predict,
+    ref_train,
+    ref_train_features,
+    v1_bytes,
+)
 import translitkit
 from translitkit import langid, synth
 from translitkit.cli import main
@@ -61,7 +69,7 @@ def test_toy_training_accuracy_single_epoch(toy_model):
 def test_training_deterministic():
     a = train(toy_examples(), FAST, hash_buckets=SMALL_BUCKETS)
     b = train(toy_examples(), FAST, hash_buckets=SMALL_BUCKETS)
-    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(dense_weights(a), dense_weights(b))
     assert np.array_equal(a.bias, b.bias)
     assert a.labels == b.labels
 
@@ -170,11 +178,11 @@ def test_distribution_sums_to_one(toy_model):
 
 
 def test_argmax_invariant_under_positive_scaling(toy_model):
-    scaled = LangIdModel(
+    scaled = compact_model(
         toy_model.labels,
         toy_model.ngram_range,
         toy_model.hash_buckets,
-        toy_model.weights * 7.5,
+        dense_weights(toy_model) * 7.5,
         toy_model.bias * 7.5,
         toy_model.training_params,
     )
@@ -240,7 +248,7 @@ def test_save_load_roundtrip(tmp_path, toy_model):
     assert loaded.ngram_range == toy_model.ngram_range
     assert loaded.hash_buckets == toy_model.hash_buckets
     assert loaded.training_params == toy_model.training_params
-    assert np.array_equal(loaded.weights, toy_model.weights)
+    assert np.array_equal(dense_weights(loaded), dense_weights(toy_model))
     assert np.array_equal(loaded.bias, toy_model.bias)
     for text in ["abab", "xyzzy", ""]:
         assert predict(text, loaded) == predict(text, toy_model)
@@ -248,38 +256,19 @@ def test_save_load_roundtrip(tmp_path, toy_model):
     assert predict_many(texts, loaded) == predict_many(texts, toy_model)
 
 
-def _tobytes_writer(model: LangIdModel, weights: np.ndarray | None = None, bias: np.ndarray | None = None) -> bytes:
-    """The version-1 file save_model wrote while it copied each array with tobytes(): the
-    dense (hash_buckets, n_labels) matrix, `weights` if given, then the bias."""
-    header = {
-        "labels": model.labels,
-        "ngram_range": list(model.ngram_range),
-        "hash_buckets": model.hash_buckets,
-        "training_params": dataclasses.asdict(model.training_params),
-    }
-    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    return b"".join([
-        langid._MAGIC_V1,
-        struct.pack("<I", len(blob)),
-        blob,
-        np.ascontiguousarray(model.weights if weights is None else weights, dtype="<f8").tobytes(),
-        np.ascontiguousarray(model.bias if bias is None else bias, dtype="<f8").tobytes(),
-    ])
-
-
 @pytest.mark.parametrize("layout", ["trained", "fortran", "big-endian"])
 def test_saved_bytes_match_the_tobytes_writer(tmp_path, toy_model, layout):
     # The version-1 writer is retired: a file it wrote from a matrix in any layout loads as the
     # model, and so does a model built from that matrix. Both save the model's bytes.
-    weights, bias = toy_model.weights, toy_model.bias
+    weights, bias = dense_weights(toy_model), toy_model.bias
     if layout == "fortran":
         weights = np.asfortranarray(weights)
     elif layout == "big-endian":
         weights, bias = weights.astype(">f8"), bias.astype(">f8")
     old = tmp_path / "v1.lid"
-    old.write_bytes(_tobytes_writer(toy_model, weights, bias))
-    built = LangIdModel(toy_model.labels, toy_model.ngram_range, toy_model.hash_buckets, weights, bias,
-                        toy_model.training_params)
+    old.write_bytes(v1_bytes(toy_model, weights, bias))
+    built = compact_model(toy_model.labels, toy_model.ngram_range, toy_model.hash_buckets, weights, bias,
+                          toy_model.training_params)
     save_model(toy_model, str(tmp_path / "model.lid"))
     for model in (load_model(str(old)), built):
         save_model(model, str(tmp_path / "again.lid"))
@@ -303,7 +292,7 @@ def _both_versions(tmp_path, model: LangIdModel) -> list[str]:
     """`model` saved as version 2 and written by the version-1 writer."""
     paths = [str(tmp_path / "model.lid"), str(tmp_path / "v1.lid")]
     save_model(model, paths[0])
-    (tmp_path / "v1.lid").write_bytes(_tobytes_writer(model))
+    (tmp_path / "v1.lid").write_bytes(v1_bytes(model))
     return paths
 
 
@@ -383,9 +372,9 @@ def _dense_gather(model: LangIdModel, weights: np.ndarray) -> LangIdModel:
 
 
 def test_a_version_1_file_and_its_resave_predict_bit_for_bit_as_the_dense_model(tmp_path, script_model):
-    weights = script_model.weights
+    weights = dense_weights(script_model)
     old = tmp_path / "v1.lid"
-    old.write_bytes(_tobytes_writer(script_model, weights))
+    old.write_bytes(v1_bytes(script_model, weights))
     texts = _ROUTE_LINES + ["", "x", "ཀཁ", "ab\rxy", "\U0001F600" * 5]
     want = _bits(predict_many(texts, _dense_gather(script_model, weights)))
     loaded = load_model(str(old))
@@ -398,7 +387,7 @@ def test_a_version_1_file_and_its_resave_predict_bit_for_bit_as_the_dense_model(
 
 def test_detect_prints_the_same_for_a_version_1_file_and_its_resave(tmp_path, script_model, capsys, monkeypatch):
     old = tmp_path / "v1.lid"
-    old.write_bytes(_tobytes_writer(script_model))
+    old.write_bytes(v1_bytes(script_model))
     save_model(load_model(str(old)), str(tmp_path / "v2.lid"))
     data = ("\n".join(_ROUTE_LINES + ["", "x"]) + "\n").encode("utf-8")
     outs = []
@@ -416,7 +405,7 @@ def test_save_writes_the_kept_rows_alone(tmp_path, toy_model):
     data = path.read_bytes()
     (blob_len,) = struct.unpack("<I", data[len(langid._MAGIC) : len(langid._MAGIC) + 4])
     start = len(langid._MAGIC) + 4 + blob_len
-    dense, n = toy_model.weights, len(toy_model.labels)
+    dense, n = dense_weights(toy_model), len(toy_model.labels)
     kept = np.flatnonzero(dense.view(np.uint64).any(axis=1))
     k = kept.size
     assert 0 < k < SMALL_BUCKETS
@@ -429,19 +418,19 @@ def test_save_writes_the_kept_rows_alone(tmp_path, toy_model):
 
 
 def test_a_row_is_kept_when_any_bit_of_it_is_set(tmp_path, toy_model):
-    weights = toy_model.weights
+    weights = dense_weights(toy_model)
     zero = np.flatnonzero(~weights.any(axis=1))[:2]
     weights[zero[0]] = -0.0
     weights[zero[1], 1] = -0.0
-    model = LangIdModel(toy_model.labels, toy_model.ngram_range, SMALL_BUCKETS, weights, toy_model.bias,
-                        toy_model.training_params)
+    model = compact_model(toy_model.labels, toy_model.ngram_range, SMALL_BUCKETS, weights, toy_model.bias,
+                          toy_model.training_params)
     assert set(zero.tolist()) <= set(model.ids.tolist())
-    assert model.ids.size == np.count_nonzero(toy_model.weights.any(axis=1)) + 2
+    assert model.ids.size == np.count_nonzero(dense_weights(toy_model).any(axis=1)) + 2
     save_model(model, str(tmp_path / "model.lid"))
-    (tmp_path / "v1.lid").write_bytes(_tobytes_writer(model))
+    (tmp_path / "v1.lid").write_bytes(v1_bytes(model))
     for path in ("model.lid", "v1.lid"):
         loaded = load_model(str(tmp_path / path))
-        assert np.array_equal(loaded.weights.view(np.uint64), weights.view(np.uint64))
+        assert np.array_equal(dense_weights(loaded).view(np.uint64), weights.view(np.uint64))
         save_model(loaded, str(tmp_path / "again.lid"))
         assert (tmp_path / "again.lid").read_bytes() == (tmp_path / "model.lid").read_bytes()
 
@@ -487,7 +476,7 @@ def test_load_rejects_more_buckets_than_uint32_ids_can_tell(tmp_path, toy_model)
     good = tmp_path / "good.lid"
     save_model(toy_model, str(good))
     edited = _edit_header(str(good), tmp_path / "edited.lid", lambda h: h.update(hash_buckets=(1 << 32) + 1))
-    with pytest.raises(FormatError, match=f"^{edited}: hash_buckets {(1 << 32) + 1} is above 2\\*\\*32"):
+    with pytest.raises(FormatError, match=f"^{edited}: bad header: hash_buckets {(1 << 32) + 1} is above 2\\*\\*32"):
         load_model(edited)
 
 
@@ -555,6 +544,35 @@ def test_train_rejects_a_label_set_that_load_model_would(labels):
     examples = toy_examples() + ([("hello there", "")] if labels is None else [])
     with pytest.raises(TrainingError, match="labels must be a list of distinct non-empty strings"):
         langid.train(examples, TrainingParams(epochs=1, min_count=1), labels, hash_buckets=256)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bias", np.zeros(3), r"shapes \(\d+, 2\) and \(3,\) do not fit \d+ ids x 2 labels"),
+        ("labels", ["aa", "aa"], "labels must be a list of distinct non-empty strings"),
+        ("labels", ["", "xx"], "labels must be a list of distinct non-empty strings"),
+        ("ngram_range", (0, 2), "ngram_min must be at least 1, got 0"),
+        ("ngram_range", (3, 2), "ngram_min must not exceed ngram_max, got 3 > 2"),
+        ("hash_buckets", 0, "hash_buckets must be at least 1, got 0"),
+    ],
+)
+def test_the_constructor_refuses_what_load_model_refuses(tmp_path, toy_model, field, value, message):
+    fields = {
+        "labels": toy_model.labels, "ngram_range": toy_model.ngram_range, "hash_buckets": toy_model.hash_buckets,
+        "ids": toy_model.ids, "rows": toy_model.table[1:], "bias": toy_model.bias,
+        "training_params": toy_model.training_params,
+    }
+    if field == "hash_buckets":  # no row may sit at or above the bucket count
+        fields.update(ids=fields["ids"][:0], rows=fields["rows"][:0])
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        LangIdModel(**{**fields, field: value})
+    if field != "bias":  # a header field: its file fails to load with the same message
+        path = tmp_path / "model.lid"
+        save_model(toy_model, str(path))
+        edited = _edit_header(str(path), tmp_path / "edited.lid", lambda h: h.update({field: value}))
+        with pytest.raises(FormatError, match=f"^{edited}: bad header: {message}"):
+            load_model(edited)
 
 def test_presets_match_recorded_hyperparameters():
     inp = TrainingParams.input_defaults()
@@ -733,5 +751,5 @@ def test_train_matches_the_sgd_oracle(tmp_path_factory, examples, preset, epochs
     labels, weights, bias = ref_train(examples, params, buckets)
     out = tmp_path_factory.mktemp("sgd")
     save_model(train(examples, params, hash_buckets=buckets), str(out / "got.lid"))
-    save_model(LangIdModel(labels, params.ngram_range, buckets, weights, bias, params), str(out / "want.lid"))
+    save_model(compact_model(labels, params.ngram_range, buckets, weights, bias, params), str(out / "want.lid"))
     assert (out / "got.lid").read_bytes() == (out / "want.lid").read_bytes()

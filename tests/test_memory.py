@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from reference import v1_bytes
 from translitkit import bpe, codebook, langid, synth, translit
 from translitkit.cli import main
 from translitkit.translit import to_latin
@@ -31,16 +32,17 @@ LABELED = synth.labeled_lines(random.Random(0), 150, LABELS)  # the size of the 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Two version-2 models of 2**20 buckets and a pipeline config that loads them."""
+    """Two version-2 models of 2**20 buckets, the first also as a version-1 file, and a
+    pipeline config that loads them."""
     root = tmp_path_factory.mktemp("memory")
     rng = np.random.default_rng(0)
     for name in ("input.lid", "output.lid"):
         ids = np.sort(rng.choice(BUCKETS, ROWS, replace=False))
         rows = rng.standard_normal((ROWS, len(LABELS)))
-        model = langid.LangIdModel(
-            LABELS, (1, 3), BUCKETS, rows, np.zeros(len(LABELS)), langid.TrainingParams(), ids=ids
-        )
+        model = langid.LangIdModel(LABELS, (1, 3), BUCKETS, ids, rows, np.zeros(len(LABELS)), langid.TrainingParams())
         langid.save_model(model, str(root / name))
+        if name == "input.lid":
+            (root / "input-v1.lid").write_bytes(v1_bytes(model))
     codebook.save_path(codebook.build_basic(range(0x0F40, 0x0F60)), str(root / "cb.tsv"))
     (root / "pipeline.cfg").write_text(
         "codebook = cb.tsv\ninput_model = input.lid\noutput_model = output.lid\nmodel_stage = identity\n",
@@ -49,8 +51,8 @@ def workspace(tmp_path_factory):
     return root
 
 
-def _load(root) -> None:
-    langid.load_model(str(root / "input.lid"))
+def _load(name: str):
+    return lambda root: langid.load_model(str(root / name))
 
 
 def _pipeline(root) -> None:
@@ -64,7 +66,8 @@ def _train(params: langid.TrainingParams):
 # Per row: the call, and the models it loads or trains. Its peak stays below a
 # quarter of their dense weight matrices: 10.5 MB a model.
 CONTRACT = {
-    "load_model, version 2": (_load, 1),
+    "load_model, version 2": (_load("input.lid"), 1),
+    "load_model, version 1": (_load("input-v1.lid"), 1),
     "pipeline, empty input": (_pipeline, 2),
     "train, input preset": (_train(langid.TrainingParams.input_defaults()), 1),
     "train, output preset": (_train(langid.TrainingParams.output_defaults()), 1),
@@ -113,9 +116,7 @@ def growth_inputs(tmp_path_factory):
     for name, ngrams in (("input.lid", (1, 3)), ("output.lid", (2, 4))):
         ids = np.sort(rng.choice(1 << 16, 4000, replace=False))
         rows = rng.standard_normal((ids.size, len(LABELS)))
-        model = langid.LangIdModel(
-            LABELS, ngrams, 1 << 16, rows, np.zeros(len(LABELS)), langid.TrainingParams(), ids=ids
-        )
+        model = langid.LangIdModel(LABELS, ngrams, 1 << 16, ids, rows, np.zeros(len(LABELS)), langid.TrainingParams())
         langid.save_model(model, str(root / name))
     (root / "pipeline.cfg").write_text(
         "codebook = cb.tsv\ninput_model = input.lid\noutput_model = output.lid\nmodel_stage = identity\n",
@@ -140,6 +141,18 @@ def _run_filter(args: list[str], path) -> int:
         finally:
             sys.stdin, sys.stdout = saved
     return os.path.getsize(path)
+
+
+def _encode(root, n: int) -> int:
+    return _run_filter(["encode", "--codebook", str(root / "cb.tsv")], root / f"original-{n}.txt")
+
+
+def _analyze(root, n: int) -> None:
+    assert main(["analyze", str(root / f"original-{n}.txt"), "-o", os.devnull]) == 0
+
+
+def _verify(root, n: int) -> None:
+    assert main(["verify", str(root / f"original-{n}.txt"), "--codebook", str(root / "cb.tsv")]) == 0
 
 
 def _detect(root, n: int) -> int:
@@ -173,6 +186,10 @@ class PerInputByte:
 # whole (one line, one string) may grow by a few bytes per byte of input; such a
 # row's call returns its input's size in bytes.
 GROWTH = {
+    "encode": (_encode, "many lines", (250, 1000), 256 << 10),
+    "analyze": (_analyze, "many lines", (250, 1000), 256 << 10),
+    # The smaller input of 250 lines fills neither a batch nor the kernel's kept arrays.
+    "verify": (_verify, "many lines", (1000, 4000), 256 << 10),
     "stats": (_stats, "many lines", (250, 1000), 256 << 10),
     "detect": (_detect, "many lines", (250, 1000), 256 << 10),
     "detect, one line": (_detect_one_line, "one line", (250, 1000), PerInputByte(4)),

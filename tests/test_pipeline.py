@@ -229,7 +229,7 @@ def test_restored_implies_low_resource(identity_pipeline, rng):
 def _always_zh() -> LangIdModel:
     """An output classifier that labels every text `zh` with confidence near 1."""
     bias = np.array([10.0 if label == "zh" else 0.0 for label in LABELS])
-    return LangIdModel(list(LABELS), (1, 2), 16, np.zeros((16, len(LABELS))), bias, PARAMS_OUT)
+    return LangIdModel(list(LABELS), (1, 2), 16, [], np.zeros((0, len(LABELS))), bias, PARAMS_OUT)
 
 
 @pytest.mark.parametrize("stage", ["identity", "external"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -489,6 +490,29 @@ def test_decode_block_takes_runs_of_whole_lines_and_a_long_line_alone(monkeypatc
     # Marked lines keep their numbers in the whole string: pieces "\n\nB@" and "CCCCC@".
     text, scans = translit.decode_block("\n\nB@\nCCCCC@", CB, "strict")
     assert text == "\n\n\n" and list(scans) == [2, 3]
+
+
+# Every string of up to EXHAUSTIVE_LENGTH characters over `ABab@x`: code letters,
+# residue, '@' groups of every parity and a passthrough, under codes of one, two,
+# three and five letters (the kernel's table and the scan's long codes).
+EXHAUSTIVE_LENGTH = 6
+EXHAUSTIVE_CB = _codebook(["A", "B", "Ab", "Bab", "Aabab"])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_decode_block_decodes_every_string_up_to_length_6_as_scan_decode_does(mode):
+    lines = ["".join(chars) for n in range(EXHAUSTIVE_LENGTH + 1) for chars in itertools.product("ABab@x", repeat=n)]
+    assert len(lines) == 55_987
+    want = [_outcome(line, EXHAUSTIVE_CB, mode) for line in lines]
+    enc = "\n".join(lines)
+    for most in (len(enc), 64):  # the whole string in one kernel call, and in pieces of whole lines
+        # In a thread of its own, so that arrays kept for the whole string go with the thread.
+        with mock.patch.object(kernel, "_SCRATCH_MAX", most), ThreadPoolExecutor(1) as pool:
+            text, scans = pool.submit(translit.decode_block, enc, EXHAUSTIVE_CB, mode).result()
+        got = [_as_outcome(scans[i]) if i in scans else (line, []) for i, line in enumerate(text.split("\n"))]
+        assert len(got) == len(lines)
+        wrong = [(line, g, w) for line, g, w in zip(lines, got, want) if g != w]
+        assert not wrong, f"{len(wrong)} lines differ from scan_decode, the first: {wrong[:3]}"
 
 
 @pytest.mark.parametrize("name", ["default", "long"])
