@@ -156,6 +156,7 @@ def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np
     """
     cp = _code_points(texts)
     total = cp.size
+    longest = max(map(len, texts), default=0)
     many = len(texts) > 1
     if many:
         lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
@@ -164,7 +165,7 @@ def _featurize(texts: Sequence[str], lo: int, hi: int, buckets: int) -> tuple[np
         room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)
     starts, hashes = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
     h = cp
-    for n in range(1, min(hi, total) + 1):
+    for n in range(1, min(hi, longest) + 1):
         if n > 1:
             h = h[:-1] * _PRIME + cp[n - 1 :]
         if n < lo:
@@ -198,8 +199,9 @@ def _features(texts: Sequence[str], lo: int, hi: int, min_count: int, buckets: i
     there are fewer than 2**31 texts.
     """
     owner, ids, start, size = _featurize(texts, lo, hi, buckets)
-    cp, cols = _code_points(texts), np.zeros(((hi + 2) // 3, ids.size), dtype=np.uint64)
-    for i in range(hi):
+    width = int(size.max(initial=1))  # the longest window, not `hi`, which may exceed every text
+    cp, cols = _code_points(texts), np.zeros(((width + 2) // 3, ids.size), dtype=np.uint64)
+    for i in range(width):
         longer = np.searchsorted(size, i + 1)  # windows come by n, so those of size > i are a tail
         cols[i // 3, longer:] |= (cp[start[longer:] + i] + np.uint64(1)) << np.uint64(21 * (i % 3))
     del cp, start, size  # freed before each sort, where the memory peaks
@@ -260,35 +262,30 @@ def train(
     label_idx = {lab: i for i, lab in enumerate(label_list)}
     per_text = _features([text for text, _ in data], lo, hi, params.min_count, hash_buckets)
     # SGD can change only the rows of buckets some example holds: `held` lists them,
-    # sorted, and row r of `weights` is bucket held[r]'s.
+    # sorted, and row r of `table` is bucket held[r]'s. The last row is the bias,
+    # which every example holds with a count of 1.
     held, rows_of = np.unique(np.concatenate([idx for idx, _ in per_text]), return_inverse=True)
     rows_of = np.split(rows_of, np.cumsum([idx.size for idx, _ in per_text])[:-1])
-    weights = np.zeros((held.size, n_labels))
+    table = np.zeros((held.size + 1, n_labels))
     lr = params.learning_rate
-    # Per example: its rows, their counts, the counts times the learning rate, its label.
-    feats = [(idx, cnt, lr * cnt[:, None], label_idx[lab])
+    # Per example: its rows, their counts, the counts and the bias's 1 times the learning rate, its label.
+    feats = [(np.append(idx, held.size), cnt, lr * np.append(cnt, 1.0)[:, None], label_idx[lab])
              for idx, (_, cnt), (_, lab) in zip(rows_of, per_text, data)]
-    bias = np.zeros(n_labels)
-    step = np.empty((max(idx.size for idx in rows_of), n_labels))  # the rows' update
+    step = np.empty((max(idx.size for idx in rows_of) + 1, n_labels))  # the rows' update
     for _ in range(params.epochs):
         for idx, cnt, lr_cnt, y in feats:
-            if idx.size:
-                # an example's buckets are distinct, so the rows scatter back whole
-                rows = weights.take(idx, axis=0)
-                p = cnt @ rows
-                p += bias
-            else:
-                p = bias.copy()
+            # an example's rows are distinct, so they scatter back whole
+            rows = table.take(idx, axis=0)
+            p = cnt @ rows[:-1]  # the n-gram rows, then the bias, as `ref_train` adds them:
+            p += rows[-1]  # one product over all the rows rounds differently
             p -= np.maximum.reduce(p)
             np.exp(p, out=p)
             p /= np.add.reduce(p)
             p[y] -= 1.0  # p is now the score gradient
-            if idx.size:
-                rows -= np.multiply(lr_cnt, p, out=step[: idx.size])
-                weights[idx] = rows
-            bias -= lr * p
-    kept = _any_bit(weights)
-    return LangIdModel(label_list, (lo, hi), hash_buckets, held[kept], weights[kept], bias, params, index)
+            rows -= np.multiply(lr_cnt, p, out=step[: idx.size])
+            table[idx] = rows
+    kept, bias = _any_bit(table[:-1]), table[-1].copy()  # a copy: a view would keep the whole table alive
+    return LangIdModel(label_list, (lo, hi), hash_buckets, held[kept], table[:-1][kept], bias, params, index)
 
 
 def predict(text: str, model: LangIdModel) -> Prediction:
@@ -305,6 +302,7 @@ def _pieces(texts: Sequence[str], lo: int, hi: int) -> Iterator[tuple[int, int, 
     windows of one n at a time, by n, then by position. Either way each text's
     windows come in `_featurize`'s order.
     """
+    hi = min(hi, max(lo, max(map(len, texts))))  # no window is longer than the longest text
     group = _PIECE // (hi - lo + 1)
     ends = list(itertools.accumulate(map(len, texts), initial=0))  # text t spans ends[t] to ends[t + 1]
     i = 0

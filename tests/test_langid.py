@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference import (
     compact_model,
@@ -706,6 +706,38 @@ def test_a_text_longer_than_a_piece_matches_the_scalar_reference(script_model):
     _close_to_reference(predict(text, script_model), text, script_model)
 
 
+def test_an_ngram_range_past_the_longest_text_reads_as_the_range_up_to_it(script_model, wide_model):
+    """`_features` and `predict_many` under ``(lo, 10**6)`` equal ``(lo, longest)`` bit for bit:
+    no window is longer than the longest text."""
+    texts = ["", "x", *_ROUTE_LINES[:8], "ab\U0001F600" * 70]
+    longest = max(map(len, texts))
+    assert longest > langid._PIECE // longest  # the longest text goes in pieces of one n
+    for lo in (1, 2, 5):
+        wide, exact = (langid._features(texts, lo, hi, 1, 1 << 12) for hi in (10**6, longest))
+        assert [(i.tolist(), c.tolist()) for i, c in wide] == [(i.tolist(), c.tolist()) for i, c in exact]
+        for model in (script_model, wide_model):
+            got, want = (
+                predict_many(texts, LangIdModel(model.labels, (lo, hi), model.hash_buckets, model.ids,
+                                                model.table[1:], model.bias, model.training_params))
+                for hi in (10**6, longest)
+            )
+            assert _bits(got) == _bits(want)
+
+
+def test_langid_train_with_an_ngram_max_past_every_text_exits_0(tmp_path):
+    labeled = tmp_path / "train.txt"
+    labeled.write_text("".join(f"__label__{tag}\t{text}\n" for text, tag in toy_examples()), encoding="utf-8")
+    longest = max(len(text) for text, _ in toy_examples())
+    for ngram_max in (10_000_000, longest):
+        cfg = tmp_path / f"{ngram_max}.cfg"
+        cfg.write_text(f"min_count = 1\nngram_max = {ngram_max}\n", encoding="utf-8")
+        assert main(["langid-train", str(labeled), "--params", str(cfg), "-o", str(tmp_path / f"{ngram_max}.lid")]) == 0
+    wide, exact = load_model(str(tmp_path / "10000000.lid")), load_model(str(tmp_path / f"{longest}.lid"))
+    assert wide.ngram_range == (1, 10_000_000)  # the header keeps the range as given
+    for a, b in ((wide.ids, exact.ids), (wide.table, exact.table), (wide.bias, exact.bias)):
+        assert a.tobytes() == b.tobytes()
+
+
 # A small alphabet next to the wide one, so that grams repeat and min_count bites.
 _TRAIN_CHARS = st.one_of(_GRAM_CHARS, st.sampled_from("ab\x00\U0001F600\ud800"))
 
@@ -746,6 +778,16 @@ def test_train_features_match_the_counter_oracle(tmp_path_factory, examples, lo,
     min_count=st.integers(1, 3),
     buckets=st.integers(1, 64),
 )
+# Examples that hold no kept n-gram, only the bias: an empty text, and one whose grams
+# all fall under min_count ("qz" occurs once; "abab" twice).
+@example(examples=[("", "x"), ("ab", "y"), ("ab", "x")], preset=TrainingParams.input_defaults(),
+         epochs=2, min_count=1, buckets=64)
+@example(examples=[("", "x"), ("abc", "y"), ("abc", "x")], preset=TrainingParams.output_defaults(),
+         epochs=2, min_count=1, buckets=64)
+@example(examples=[("abab", "x"), ("qz", "y"), ("abab", "y")], preset=TrainingParams.input_defaults(),
+         epochs=3, min_count=2, buckets=64)
+@example(examples=[("abab", "x"), ("qz", "y"), ("abab", "y")], preset=TrainingParams.output_defaults(),
+         epochs=3, min_count=2, buckets=64)
 def test_train_matches_the_sgd_oracle(tmp_path_factory, examples, preset, epochs, min_count, buckets):
     params = dataclasses.replace(preset, epochs=epochs, min_count=min_count)
     labels, weights, bias = ref_train(examples, params, buckets)

@@ -515,6 +515,31 @@ def test_decode_block_decodes_every_string_up_to_length_6_as_scan_decode_does(mo
         assert not wrong, f"{len(wrong)} lines differ from scan_decode, the first: {wrong[:3]}"
 
 
+# Every string of up to DECODE_LENGTH characters over `ABab@x\n`: the letters above and line
+# ends between them. Length 5 (19,608 strings) takes 2–3 s a mode; length 6 (137,257) about 15 s.
+DECODE_LENGTH = 5
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_decode_and_decode_lines_of_every_string_up_to_length_5_match_scan_decode(mode, monkeypatch):
+    strings = ["".join(chars) for n in range(DECODE_LENGTH + 1) for chars in itertools.product("ABab@x\n", repeat=n)]
+    assert len(strings) == 19_608
+    # One of length 6 as well: a warning on a line before an '@' run that reads on past its own line.
+    strings.append("Aa\n@\n@")
+    # Every string through `decode_block`, whose kernel takes runs of whole lines of at most 64.
+    monkeypatch.setattr(translit, "_KERNEL_MIN", 0)
+    monkeypatch.setattr(kernel, "_SCRATCH_MAX", 64)
+    wrong = [
+        (enc, got, want) for enc in strings
+        if (got := _outcome(enc, EXHAUSTIVE_CB, mode, decode)) != (want := _outcome(enc, EXHAUSTIVE_CB, mode))
+    ]
+    assert not wrong, f"{len(wrong)} strings decode unlike scan_decode, the first: {wrong[:3]}"
+    lines = [enc for enc in strings if "\n" not in enc]
+    got = [_as_outcome(out) for out in decode_lines(lines, EXHAUSTIVE_CB, mode)]
+    wrong = [(line, g, w) for line, g in zip(lines, got) if g != (w := _outcome(line, EXHAUSTIVE_CB, mode))]
+    assert len(got) == len(lines) and not wrong, f"decode_lines differs from scan_decode on {wrong[:3]}"
+
+
 @pytest.mark.parametrize("name", ["default", "long"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
