@@ -28,10 +28,10 @@ def _byte_tokens(ch: str) -> list[str]:
 class BpeModel:
     """Ordered vocabulary plus ordered merge rules.
 
-    Invariants checked at construction: vocab entries unique, and every merge
-    result appears in the vocab. With `byte_fallback`, characters outside the
-    vocab decompose into per-byte `<0xXX>` tokens; otherwise they stay as
-    single out-of-vocabulary tokens.
+    Invariants checked at construction (`_index`): vocab entries unique, every
+    merge result in the vocab and no merge listed twice. With `byte_fallback`,
+    characters outside the vocab decompose into per-byte `<0xXX>` tokens;
+    otherwise they stay as single out-of-vocabulary tokens.
     """
 
     vocab: list[str]
@@ -41,17 +41,10 @@ class BpeModel:
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.vocab)) != len(self.vocab):
-            dupes = [t for t, n in Counter(self.vocab).items() if n > 1]
-            raise FormatError(f"duplicate vocab entries: {dupes[:5]!r}")
-        self._vocab_set = frozenset(self.vocab)
-        self._ranks = {}
-        for rank, (a, b) in enumerate(self.merges):
-            if a + b not in self._vocab_set:
-                raise FormatError(f"merge result {a + b!r} missing from vocab")
-            first = self._ranks.setdefault((a, b), rank)
-            if first != rank:
-                raise FormatError(f"merge {f'{a} {b}'!r} listed twice, at ranks {first} and {rank}")
+        self._vocab_set, self._ranks = _index(
+            ((f"vocab[{i}]", token) for i, token in enumerate(self.vocab)),
+            ((f"merges[{i}]", pair) for i, pair in enumerate(self.merges)),
+        )
 
     def tokenize(self, text: str) -> list[str]:
         """Deterministic segmentation: lowest-ranked applicable merge first."""
@@ -112,6 +105,28 @@ class BpeModel:
                         heapq.heappush(heap, (r, i))
             syms = [s for s in syms if s is not None]
         return tuple(syms)
+
+
+def _index(vocab, merges, vocab_prefix: str = "", merges_prefix: str = "") -> tuple[frozenset[str], dict]:
+    """Check the `(place, token)` vocab rows, then the `(place, (a, b))` merge rows, against every
+    rule of a model: no token twice, each merge result in the vocab, no merge twice. Returns the
+    vocab as a set and each merge's rank; an error names its rows' prefix and the row's place.
+    """
+    place_of: dict[str, str] = {}
+    for place, token in vocab:
+        if token in place_of:
+            raise FormatError(f"{vocab_prefix}{place}: token {token!r} already on {place_of[token]}")
+        place_of[token] = place
+    ranks: dict[tuple[str, str], int] = {}
+    merge_place: dict[tuple[str, str], str] = {}
+    for rank, (place, (a, b)) in enumerate(merges):
+        if a + b not in place_of:
+            raise FormatError(f"{merges_prefix}{place}: merge result {a + b!r} missing from vocab")
+        if (a, b) in merge_place:
+            raise FormatError(f"{merges_prefix}{place}: merge {f'{a} {b}'!r} already on {merge_place[a, b]}")
+        merge_place[a, b] = place
+        ranks[a, b] = rank
+    return frozenset(place_of), ranks
 
 
 def train(corpus, target_vocab: int) -> BpeModel:
@@ -267,19 +282,19 @@ def save_model(model: BpeModel, dirpath: str) -> None:
 
 
 def load_model(dirpath: str, byte_fallback: bool = False) -> BpeModel:
+    """Read what `save_model` writes; `_index` checks the tokens and merges, each named by its line."""
     vocab_path = os.path.join(dirpath, "vocab.txt")
     merges_path = os.path.join(dirpath, "merges.txt")
     if not os.path.isfile(vocab_path) or not os.path.isfile(merges_path):
         raise ConfigError(f"{dirpath}: expected vocab.txt and merges.txt")
-    vocab = [token for token, _ in textio.read_file(vocab_path) if token]
-    line_of: dict[tuple[str, str], int] = {}  # each merge, in order, and its line
+    vocab = [(f"line {n}", token) for n, (token, _) in enumerate(textio.read_file(vocab_path), start=1) if token]
+    merges = []
     for lineno, (line, _) in enumerate(textio.read_file(merges_path), start=1):
         if not line:
             continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise FormatError(f"{merges_path} line {lineno}: expected two space-separated symbols")
-        first = line_of.setdefault((parts[0], parts[1]), lineno)
-        if first != lineno:
-            raise FormatError(f"{merges_path} line {lineno}: merge {line!r} already on line {first}")
-    return BpeModel(vocab, list(line_of), byte_fallback)
+        merges.append((f"line {lineno}", (parts[0], parts[1])))
+    _index(vocab, merges, f"{vocab_path} ", f"{merges_path} ")
+    return BpeModel([token for _, token in vocab], [pair for _, pair in merges], byte_fallback)

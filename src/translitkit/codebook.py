@@ -23,6 +23,7 @@ STRATEGIES = ("basic", "tokenizer_opt", "hybrid")
 _BYTE_TOKEN = re.compile(r"<0x([0-9A-F]{2})>")  # a byte-fallback token
 #: The code points the wire grammar keeps for codes and runs: ASCII letters and '@'.
 RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
+_LEAST = {"rank": 1, "token count": 0}  # the least value of each number of a row
 
 
 def _reserved(cp: int) -> str:
@@ -69,24 +70,9 @@ class Codebook:
     kernel_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        c2l: dict[int, str] = {}
-        l2c: dict[str, int] = {}
-        for e in self.entries:
-            if not is_valid_code(e.code):
-                raise FormatError(f"invalid code {e.code!r} for U+{e.codepoint:04X}")
-            if e.codepoint in RESERVED:
-                raise IntegrityError(_reserved(e.codepoint))
-            if e.codepoint in c2l:
-                raise IntegrityError(f"duplicate character U+{e.codepoint:04X}")
-            if e.code in l2c:
-                raise IntegrityError(f"duplicate code {e.code!r}")
-            c2l[e.codepoint] = e.code
-            l2c[e.code] = e.codepoint
-        self.char_to_code = c2l
-        self.code_to_char = l2c
-        self.code_to_text = {code: chr(cp) for code, cp in l2c.items()}
+        _check_strategy(self.strategy)
+        self.char_to_code, self.code_to_char = _index((f"row {i}", e) for i, e in enumerate(self.entries, 1))
+        self.code_to_text = {code: chr(cp) for code, cp in self.code_to_char.items()}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -97,9 +83,43 @@ class Codebook:
         return sum(1 for e in self.entries if e.token_count == 1)
 
 
-def _check_chars(chars: list[int]) -> None:
-    if len(set(chars)) != len(chars):
-        raise IntegrityError("character list contains duplicates")
+def _check_strategy(strategy: str, prefix: str = "") -> None:
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"{prefix}unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+
+
+def _index(rows: Iterable[tuple[str, CodebookEntry]], prefix: str = "") -> tuple[dict[int, str], dict[str, int]]:
+    """Check each `(place, entry)` row in turn; return `char_to_code` and `code_to_char`.
+
+    These are every rule of a codebook row: the code point is a Unicode scalar
+    value outside RESERVED, the code is valid, the rank is 1 or more, the token
+    count 0 or more, and no two rows share a character, a code or a rank. An
+    error is a TranslitError that starts with `prefix` and the row's place.
+    """
+    c2l: dict[int, str] = {}
+    l2c: dict[str, int] = {}
+    at_code: dict[str, str] = {}  # the place of the row that holds each code, and each rank
+    at_rank: dict[int, str] = {}
+    for place, e in rows:
+        cp, code, rank, where = e.codepoint, e.code, e.rank, prefix + place
+        check_code_point(cp, f"{cp:X}", where)
+        for what, n in (("rank", rank), ("token count", e.token_count)):
+            if n < _LEAST[what]:
+                raise FormatError(f"{where}: {what} '{n}' is not a decimal of {_LEAST[what]} or more")
+        if not is_valid_code(code):
+            raise FormatError(f"{where}: invalid code {code!r}")
+        if cp in RESERVED:
+            raise IntegrityError(f"{where}: {_reserved(cp)}")
+        if cp in c2l:
+            raise IntegrityError(f"{where}: character U+{cp:04X} already mapped on {at_code[c2l[cp]]}")
+        if code in l2c:
+            raise IntegrityError(f"{where}: code {code!r} already mapped on {at_code[code]}")
+        if rank in at_rank:
+            raise IntegrityError(f"{where}: rank {rank} already used on {at_rank[rank]}")
+        c2l[cp] = code
+        l2c[code] = cp
+        at_code[code] = at_rank[rank] = place
+    return c2l, l2c
 
 
 def build_basic(
@@ -109,7 +129,6 @@ def build_basic(
 ) -> Codebook:
     """Assign the i-th code (shortest first) to the i-th most frequent character."""
     chars = list(chars)
-    _check_chars(chars)
     codes = enumerate_codes(profile, len(chars))
     entries = [
         CodebookEntry(cp, code, rank=i + 1, token_count=0)
@@ -134,7 +153,6 @@ def build_tokenizer_optimized(
     if model is None:
         raise ConfigError("tokenizer-optimized build requires a BPE model")
     chars = list(chars)
-    _check_chars(chars)
     check_capacity(profile, len(chars))
     if not chars:
         return Codebook([], strategy, source_digest)
@@ -200,60 +218,40 @@ def save(cb: Codebook, out: IO[str]) -> None:
 
 
 def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
-    """Parse the TSV that `save` writes from a binary stream; `name` labels UTF-8 errors."""
+    """Parse the TSV that `save` writes from a binary stream; `name` labels every error."""
     lines = textio.read_lines(src, name)
     header = next(lines, ("", ""))[0]
     if not header.startswith("#strategy="):
         raise FormatError(f"{name} line 1: expected header '#strategy=<s> freq_digest=<hex>'")
-    fields = dict(
-        part.split("=", 1) for part in header[1:].split(" ") if "=" in part
-    )
+    fields = dict(part.split("=", 1) for part in header[1:].split(" ") if "=" in part)
     strategy = fields.get("strategy", "")
-    digest = fields.get("freq_digest", "")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"{name} line 1: unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    entries = []
-    seen_chars: dict[int, int] = {}
-    seen_codes: dict[str, int] = {}
-    seen_ranks: dict[int, int] = {}
-    for lineno, (line, _) in enumerate(lines, start=2):
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise FormatError(f"{name} line {lineno}: expected 4 tab-separated fields")
-        try:
-            cp = int(cols[0], 16)
-            rank = int(cols[2])
-            token_count = int(cols[3])
-        except ValueError as exc:
-            raise FormatError(f"{name} line {lineno}: {exc}") from exc
-        check_code_point(cp, cols[0], f"{name} line {lineno}")
-        # Each number as `save` writes it, so that a row re-saves as itself.
-        if cols[0] != f"{cp:04X}":
-            raise FormatError(f"{name} line {lineno}: code point {cols[0]!r} is not written as {cp:04X}")
-        check_decimal(cols[2], rank, 1, "rank", f"{name} line {lineno}")
-        check_decimal(cols[3], token_count, 0, "token count", f"{name} line {lineno}")
-        code = cols[1]
-        if not is_valid_code(code):
-            raise FormatError(f"{name} line {lineno}: invalid code {code!r}")
-        if cp in RESERVED:
-            raise IntegrityError(f"{name} line {lineno}: {_reserved(cp)}")
-        if cp in seen_chars:
-            raise IntegrityError(
-                f"{name} line {lineno}: character U+{cp:04X} already mapped on line {seen_chars[cp]}"
-            )
-        if code in seen_codes:
-            raise IntegrityError(
-                f"{name} line {lineno}: code {code!r} already mapped on line {seen_codes[code]}"
-            )
-        if rank in seen_ranks:
-            raise IntegrityError(f"{name} line {lineno}: rank {rank} already used on line {seen_ranks[rank]}")
-        seen_chars[cp] = lineno
-        seen_codes[code] = lineno
-        seen_ranks[rank] = lineno
-        entries.append(CodebookEntry(cp, code, rank, token_count))
-    return Codebook(entries, strategy, digest)
+    _check_strategy(strategy, f"{name} line 1: ")
+    entries: list[CodebookEntry] = []
+
+    def rows():
+        for lineno, (line, _) in enumerate(lines, start=2):
+            if not line or line.startswith("#"):
+                continue
+            where = f"{name} line {lineno}"
+            cols = line.split("\t")
+            if len(cols) != 4:
+                raise FormatError(f"{where}: expected 4 tab-separated fields")
+            try:
+                e = CodebookEntry(int(cols[0], 16), cols[1], int(cols[2]), int(cols[3]))
+            except ValueError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
+            # `_index` checks the row's rules first, so that a cell such as '-41' reads as out
+            # of range; then each number must read as `save` writes it, to re-save as itself.
+            yield f"line {lineno}", e
+            if cols[0] != f"{e.codepoint:04X}":
+                raise FormatError(f"{where}: code point {cols[0]!r} is not written as {e.codepoint:04X}")
+            for what, cell, n in (("rank", cols[2], e.rank), ("token count", cols[3], e.token_count)):
+                if cell != str(n):
+                    raise FormatError(f"{where}: {what} {cell!r} is not a decimal of {_LEAST[what]} or more")
+            entries.append(e)
+
+    _index(rows(), f"{name} ")
+    return Codebook(entries, strategy, fields.get("freq_digest", ""))
 
 
 def save_path(cb: Codebook, path: str) -> None:

@@ -110,12 +110,12 @@ FULL_PROFILE = CodeSpaceProfile(
 
 def check_capacity(profile: CodeSpaceProfile, count: int) -> None:
     """Raise CapacityError naming the ceiling when `count` exceeds what `profile` can provide."""
-    total = profile.total_slots()
-    if count > total:
-        raise CapacityError(
-            f"requested {count} codes but the profile holds at most {total} "
-            f"(max_len={profile.max_len})"
-        )
+    total = 0
+    for length in range(1, profile.max_len + 1):  # until `count` fits: a long max_len holds ~26**max_len
+        total += profile.slots_at(length)
+        if total >= count:
+            return
+    raise CapacityError(f"requested {count} codes but the profile holds at most {total} (max_len={profile.max_len})")
 
 
 def enumerate_codes(profile: CodeSpaceProfile, count: int) -> list[str]:

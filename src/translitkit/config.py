@@ -22,7 +22,13 @@ if TYPE_CHECKING:  # each is imported by the one loader that uses it
 
 
 def load_kv(path: str) -> dict[str, str]:
+    return _read_kv(path)[0]
+
+
+def _read_kv(path: str) -> tuple[dict[str, str], dict[str, int]]:
+    """The `key = value` pairs of `path`, and the line of each key."""
     pairs: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, (line, _) in enumerate(textio.read_file(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -34,7 +40,8 @@ def load_kv(path: str) -> dict[str, str]:
         if key in pairs:
             raise ConfigError(f"{path} line {lineno}: duplicate key {key!r}")
         pairs[key] = value.strip()
-    return pairs
+        line_of[key] = lineno
+    return pairs, line_of
 
 
 def _check_keys(pairs: dict[str, str], allowed: tuple[str, ...], path: str) -> None:
@@ -44,8 +51,8 @@ def _check_keys(pairs: dict[str, str], allowed: tuple[str, ...], path: str) -> N
             raise ConfigError(f"{path}: unknown key {key!r}; expected one of {', '.join(allowed)}")
 
 
-def parse_letters(spec: str) -> list[str]:
-    """Uppercase letter set: 'A-F', 'ABCDEF' and 'A,B,C' all work; '' is empty."""
+def parse_letters(spec: str, where: str = "") -> list[str]:
+    """Uppercase letter set: 'A-F', 'ABCDEF' and 'A,B,C' all work; '' is empty. `where` prefixes an error."""
     spec = spec.replace(",", "").replace(" ", "")
     if not spec:
         return []
@@ -53,10 +60,10 @@ def parse_letters(spec: str) -> list[str]:
         lo, _, hi = spec.partition("-")
         if len(lo) == 1 and len(hi) == 1 and lo in UPPER and hi in UPPER and lo <= hi:
             return list(UPPER[UPPER.index(lo) : UPPER.index(hi) + 1])
-        raise ConfigError(f"bad letter range {spec!r}")
+        raise ConfigError(f"{where}bad letter range {spec!r}")
     for c in spec:
         if c not in UPPER:
-            raise ConfigError(f"bad letter {c!r} in {spec!r}")
+            raise ConfigError(f"{where}bad letter {c!r} in {spec!r}")
     return list(spec)
 
 
@@ -90,15 +97,14 @@ _TRAINING_KEYS = (
 
 def load_profile(path: str) -> CodeSpaceProfile:
     """Keys: max_len, excluded_single_letters, two_char_first_letters."""
-    pairs = load_kv(path)
+    pairs, line_of = _read_kv(path)
     _check_keys(pairs, _PROFILE_KEYS, path)
     defaults = CodeSpaceProfile()
     kwargs = {}
     kwargs["max_len"] = _get_int(pairs, "max_len", defaults.max_len, path)
-    if "excluded_single_letters" in pairs:
-        kwargs["excluded_single_letters"] = frozenset(parse_letters(pairs["excluded_single_letters"]))
-    if "two_char_first_letters" in pairs:
-        kwargs["two_char_first_letters"] = tuple(parse_letters(pairs["two_char_first_letters"]))
+    for key, kind in (("excluded_single_letters", frozenset), ("two_char_first_letters", tuple)):
+        if key in pairs:
+            kwargs[key] = kind(parse_letters(pairs[key], f"{path} line {line_of[key]}: "))
     try:
         return CodeSpaceProfile(**kwargs)
     except ValueError as exc:

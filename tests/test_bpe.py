@@ -47,10 +47,10 @@ def test_byte_fallback():
 
 
 def test_vocab_validation():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape("vocab[1]: token 'a' already on vocab[0]")):
         BpeModel(["a", "a"], [])
-    with pytest.raises(FormatError):
-        BpeModel(["a", "b"], [("a", "b")])  # merge result "ab" missing
+    with pytest.raises(FormatError, match=re.escape("merges[0]: merge result 'ab' missing from vocab")):
+        BpeModel(["a", "b"], [("a", "b")])
 
 
 def _random_model(rng: random.Random) -> BpeModel:
@@ -127,7 +127,7 @@ def test_tokenize_matches_naive_on_long_words_of_repeated_pairs(model, word):
 
 def test_a_merge_listed_twice_is_rejected(tmp_path):
     # a repeated merge has two ranks, and `naive_tokenize` applies the first
-    with pytest.raises(FormatError, match=re.escape("merge 'a b' listed twice, at ranks 0 and 2")):
+    with pytest.raises(FormatError, match=re.escape("merges[2]: merge 'a b' already on merges[0]")):
         BpeModel(["a", "b", "c", "ab", "bc"], [("a", "b"), ("b", "c"), ("a", "b")])
     d = tmp_path / "m"
     d.mkdir()

@@ -134,6 +134,16 @@ def test_langid_train_options_come_only_from_the_params_file(capsys, tmp_path):
     assert capsys.readouterr().err.count("error: usage:") == 2
 
 
+def test_langid_train_without_params_takes_the_input_preset(tmp_path):
+    labeled, out = tmp_path / "labeled.txt", str(tmp_path / "m.lid")
+    labeled.write_text("__label__bo\tཀཁ\n__label__other\thello\n", encoding="utf-8")
+    assert main(["langid-train", str(labeled), "-o", out]) == 0
+    model = langid.load_model(out)
+    assert model.hash_buckets == langid.DEFAULT_HASH_BUCKETS
+    assert model.training_params == langid.TrainingParams.input_defaults()
+    assert model.ngram_range == langid.TrainingParams.input_defaults().ngram_range
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     assert main(["verify", str(tmp_path / "nope.txt"), "--codebook", str(tmp_path / "cb.tsv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -649,12 +659,8 @@ _LINE = st.lists(st.sampled_from(["B", "C", "Aa", "Fk", "Zz", "x", "@", "@@", "\
                  max_size=12).map("".join)
 
 
-@settings(max_examples=80, deadline=None)
-@given(lines=st.lists(_LINE, max_size=8), mode=st.sampled_from(["strict", "lenient"]))
-def test_decode_cli_matches_per_line_scan(workspace, lines, mode):
-    """The block decoder writes what scanning each line alone gives, up to the first error."""
-    root, cb, _ = workspace
-    data = "".join(line + "\n" for line in lines).encode("utf-8")
+def _logged_pipe(argv: list[str], data: bytes) -> tuple[int, bytes, str, list[str]]:
+    """`_pipe`, and also the stderr text and the messages logged."""
     logger = logging.getLogger("translitkit")
     records: list[str] = []
     handler = logging.Handler()
@@ -663,9 +669,21 @@ def test_decode_cli_matches_per_line_scan(workspace, lines, mode):
     stderr = io.StringIO()
     try:
         with mock.patch.object(sys, "stderr", stderr):
-            status, out = _pipe(["decode", "--codebook", str(root / "cb.tsv"), "--mode", mode], data)
+            status, out = _pipe(argv, data)
     finally:
         logger.removeHandler(handler)
+    return status, out, stderr.getvalue(), records
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(_LINE, max_size=8), mode=st.sampled_from(["strict", "lenient"]))
+def test_decode_cli_matches_per_line_scan(workspace, lines, mode):
+    """The block decoder writes what scanning each line alone gives, up to the first error."""
+    root, cb, _ = workspace
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    status, out, stderr, records = _logged_pipe(
+        ["decode", "--codebook", str(root / "cb.tsv"), "--mode", mode], data
+    )
     expected, warnings, error = [], [], None
     for n, line in enumerate(lines, 1):
         try:
@@ -678,9 +696,62 @@ def test_decode_cli_matches_per_line_scan(workspace, lines, mode):
     assert out == "".join(expected).encode("utf-8")
     assert records == warnings
     if error:
-        assert (status, stderr.getvalue()) == (2, error)
+        assert (status, stderr) == (2, error)
     else:
         assert status == 0
+
+
+# The `decode` filter over every short string of an alphabet that spans the wire
+# grammar, each string a line of stdin, against `scan_decode` of that line. A
+# string ending in '\r' is a line that ends in CRLF. The codebook has codes of
+# one, two, three and five letters, so both the kernel and the scan decode.
+DECODE_ALPHABET = "ABab@x\r"
+DECODE_CODES = ["A", "B", "Ab", "Bab", "Aabab"]
+CLEAN_LENGTH = 5  # every string up to this length that decodes: one run per mode
+RAISING_LENGTH = 3  # every string up to this length that raises: one run each
+
+
+def _strings(length: int):
+    for n in range(length + 1):
+        yield from map("".join, itertools.product(DECODE_ALPHABET, repeat=n))
+
+
+def _scan_line(s: str, cb, mode: str):
+    """What the filter should write for the input line `s + "\\n"`: its text and end, and the warnings;
+    or the error `scan_decode` raises."""
+    line, end = (s[:-1], "\r\n") if s.endswith("\r") else (s, "\n")
+    try:
+        result = translit.scan_decode(line, cb, mode)
+    except TranslitError as exc:
+        return exc
+    return result.text + end, result.warnings
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_decode_cli_decodes_every_short_string_as_scan_decode_does(tmp_path, mode):
+    cb = codebook.Codebook(
+        [codebook.CodebookEntry(0x0F40 + i, c, i + 1, 0) for i, c in enumerate(DECODE_CODES)], "basic"
+    )
+    codebook.save_path(cb, str(tmp_path / "cb.tsv"))
+    argv = ["decode", "--codebook", str(tmp_path / "cb.tsv"), "--mode", mode]
+    clean, expected, warnings = [], [], []
+    for s in _strings(CLEAN_LENGTH):
+        scanned = _scan_line(s, cb, mode)
+        if not isinstance(scanned, TranslitError):
+            clean.append(s)
+            expected.append(scanned[0])
+            warnings += [f"<stdin> line {len(clean)}: {w}" for w in scanned[1]]
+    status, out, _, records = _logged_pipe(argv, "".join(s + "\n" for s in clean).encode("utf-8"))
+    assert (status, out) == (0, "".join(expected).encode("utf-8"))
+    assert records == warnings
+    raising = 0
+    for s in _strings(RAISING_LENGTH):
+        exc = _scan_line(s, cb, mode)
+        if isinstance(exc, TranslitError):
+            raising += 1
+            status, out, stderr, _ = _logged_pipe(argv, (s + "\n").encode("utf-8"))
+            assert (status, out, stderr) == (2, b"", f"error: {type(exc).__name__}: <stdin> line 1: {exc}\n"), s
+    assert clean and raising and (warnings or mode == "strict")  # each half of the check ran
 
 
 # --- detect and pipeline over several input blocks ---------------------------

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from translitkit.bpe import BpeModel
+from translitkit.cli import main
 from translitkit.codebook import (
+    RESERVED,
     Codebook,
     CodebookEntry,
     build_basic,
@@ -16,7 +18,7 @@ from translitkit.codebook import (
     save,
 )
 from translitkit.codespace import DEFAULT_PROFILE, CodeSpaceProfile, enumerate_codes
-from translitkit.errors import CapacityError, ConfigError, FormatError, IntegrityError
+from translitkit.errors import CapacityError, ConfigError, FormatError, IntegrityError, TranslitError
 from translitkit.translit import from_latin, to_latin
 
 from reference import ref_build_tokenizer_optimized
@@ -87,8 +89,76 @@ def test_every_build_names_the_capacity_alike(build):
     assert str(info.value) == "requested 178 codes but the profile holds at most 177 (max_len=2)"
 
 def test_build_rejects_duplicates():
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"^row 2: character U\+0F40 already mapped on row 1$"):
         build_basic([0x0F40, 0x0F40])
+
+
+def test_a_long_max_len_builds_as_fast_as_a_short_one(tmp_path, capsys):
+    # The capacity check stops adding code lengths once they hold the characters.
+    freq = tmp_path / "freq.tsv"
+    freq.write_text("#scripts=Tibetan\n" + "".join(
+        f"{cp}\tU+{cp:04X}\tTibetan\t{9 - i}\n" for i, cp in enumerate((0x0F40, 0x0F41, 0x0F42))
+    ), encoding="utf-8")
+    out = {}
+    for max_len in (2, 1_000_000):
+        (tmp_path / "profile.cfg").write_text(f"max_len = {max_len}\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["build-codebook", "--freq", str(freq), "--strategy", "basic",
+                     "--profile", str(tmp_path / "profile.cfg")]) == 0
+        assert time.perf_counter() - start < 1.0
+        out[max_len] = capsys.readouterr().out
+    assert out[1_000_000] == out[2]
+    assert out[2].endswith("0F40\tB\t1\t0\n0F41\tC\t2\t0\n0F42\tD\t3\t0\n")
+    huge = CodeSpaceProfile(max_len=1_000_000)
+    start = time.perf_counter()
+    assert build_tokenizer_optimized(range(0x0F40, 0x0F43), huge, letter_model(False)) == \
+        build_tokenizer_optimized(range(0x0F40, 0x0F43), DEFAULT_PROFILE, letter_model(False))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "entry, kind, message",
+    [
+        (CodebookEntry(0x0F41, "C", 1, 0), IntegrityError, "row 2: rank 1 already used on row 1"),
+        (CodebookEntry(0x0F41, "C", 0, 0), FormatError, "row 2: rank '0' is not a decimal of 1 or more"),
+        (CodebookEntry(0x0F41, "C", 2, -1), FormatError, "row 2: token count '-1' is not a decimal of 0 or more"),
+        (CodebookEntry(0xD800, "C", 2, 0), FormatError, "row 2: code point U+D800 is a surrogate"),
+        (CodebookEntry(0x110000, "C", 2, 0), FormatError, "row 2: code point '110000' out of range"),
+        (CodebookEntry(-65, "C", 2, 0), FormatError, "row 2: code point '-41' out of range"),
+        (CodebookEntry(0x0F41, "c", 2, 0), FormatError, "row 2: invalid code 'c'"),
+        (CodebookEntry(0x0F40, "C", 2, 0), IntegrityError, "row 2: character U+0F40 already mapped on row 1"),
+        (CodebookEntry(0x0F41, "B", 2, 0), IntegrityError, "row 2: code 'B' already mapped on row 1"),
+        (CodebookEntry(ord("@"), "C", 2, 0), IntegrityError, "row 2: U+0040 ('@') is reserved by the wire grammar"),
+    ],
+)
+def test_the_constructor_refuses_each_row_that_load_refuses(entry, kind, message):
+    with pytest.raises(kind) as info:
+        Codebook([CodebookEntry(0x0F40, "B", 1, 0), entry], "basic")
+    assert str(info.value) == message
+
+
+_CODE_POINTS = st.sampled_from(
+    [0x0F40, 0x0F41, 0x0F42, 0, 0x10FFFF, 0xD800, 0xDFFF, 0x110000, -1]
+) | st.sampled_from(sorted(RESERVED)) | st.integers(-2, 0x110001)
+_CODES = st.sampled_from(["B", "C", "Aa", "Fk", "Zzzzz", "", "b", "BB", "B1", "B\n", "É"]) | st.text(max_size=3)
+_ENTRIES = st.builds(CodebookEntry, _CODE_POINTS, _CODES, st.integers(-1, 4), st.integers(-2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRIES, max_size=5), st.sampled_from(["basic", "tokenizer_opt", "hybrid"]),
+       st.sampled_from(["", "abcd1234abcd1234"]))
+def test_the_constructor_refuses_or_save_then_load_gives_it_back(entries, strategy, digest):
+    # Duplicate characters, codes and ranks, rank 0, negative token counts,
+    # surrogates, code points past U+10FFFF, reserved ones and invalid codes.
+    try:
+        cb = Codebook(entries, strategy, digest)
+    except TranslitError:
+        return
+    buf = io.StringIO()
+    save(cb, buf)
+    loaded = load(io.BytesIO(buf.getvalue().encode("utf-8")))
+    assert loaded == cb
+    assert (loaded.char_to_code, loaded.code_to_char) == (cb.char_to_code, cb.code_to_char)
 
 
 def test_reserved_codepoints_rejected():
@@ -328,3 +398,6 @@ def test_load_transform(tmp_path):
         load_text("4F60\tni3\n4F60\tni\n")
     with pytest.raises(FormatError):
         load_text("4F60\n")
+    with pytest.raises(FormatError) as info:
+        load_text("4F60\tni3\n# a comment\n4G60\tx\n")
+    assert str(info.value) == f"{path} line 3: invalid literal for int() with base 16: '4G60'"

@@ -178,3 +178,35 @@ def test_demo_script_configs_load(tmp_path):
     assert [name for name, _ in heredocs] == ["lid-input.cfg", "lid-output.cfg"]
     for name, text in heredocs:
         load_training_params(write(tmp_path, name, text + "\n"))
+
+
+def test_a_float_key_that_is_not_a_number_names_the_file(tmp_path):
+    path = write(tmp_path, "t.cfg", "preset = input\nlearning_rate = fast\n")
+    with pytest.raises(ConfigError) as info:
+        load_training_params(path)
+    assert str(info.value) == f"{path}: key 'learning_rate' must be a number"
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_profile, "max_len = 0\n", "max_len must be >= 1, got 0"),
+        (load_ranges, "Tibetan = 0F00-0F10, 0F08-0F20\n", "overlapping intervals in script range Tibetan"),
+        (load_ranges, "Tibetan = 0F10-0F00\n", "bad interval 0xf10-0xf00 in Tibetan"),
+    ],
+)
+def test_a_value_its_constructor_refuses_is_a_config_error_naming_the_file(tmp_path, load, text, message):
+    path = write(tmp_path, "x.cfg", text)
+    with pytest.raises(ConfigError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_an_empty_pipeline_value_reads_as_none_where_none_is_allowed(tmp_path):
+    paths = "codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\n"
+    cfg = load_pipeline_config(write(tmp_path, "p.cfg", paths + "model_command =\npinyin_transform =\n"))
+    assert cfg.model_command is None and cfg.pinyin_transform_path is None
+    path = write(tmp_path, "q.cfg", paths + "model_stage = external\nmodel_command =\n")
+    with pytest.raises(ConfigError) as info:
+        load_pipeline_config(path)
+    assert str(info.value) == f"{path}: model_stage 'external' requires model_command"

@@ -507,6 +507,19 @@ def test_detect_on_corrupt_model_exits_2(tmp_path, toy_model, capsys, kind):
     assert err.startswith("error: FormatError") and str(bad) in err
 
 
+def test_load_rejects_a_file_cut_inside_its_row_count(tmp_path, toy_model):
+    good = tmp_path / "good.lid"
+    save_model(toy_model, str(good))
+    data = good.read_bytes()
+    start = len(b"TKLID\x02\n") + 4  # the magic and the header's size
+    (header_size,) = struct.unpack("<I", data[start - 4 : start])
+    bad = tmp_path / "cut.lid"
+    bad.write_bytes(data[: start + header_size + 3])
+    with pytest.raises(FormatError) as info:
+        load_model(str(bad))
+    assert str(info.value) == f"{bad}: truncated row count"
+
+
 def test_read_labeled(tmp_path):
     path = tmp_path / "train.txt"
     path.write_text("__label__bo\tཀཁ\n__label__other\thello world\n", encoding="utf-8")

@@ -216,6 +216,18 @@ _LOCATED = [
     ("transform.tsv", "4F60\tni3\n597D\thao3\n# a comment\n\n4E00\tyi1\nD800\ty\n",
      ["encode", "--codebook", "{cb.tsv}", "--transform", "{transform.tsv}"],
      "FormatError", "line 6: code point U+D800 is a surrogate"),
+    ("bpe/vocab.txt", "a\nb\n\nab\na\n",
+     ["bpe-merge", "{bpe}", "{bpe}", "-o", "{out}"],
+     "FormatError", "line 5: token 'a' already on line 1"),
+    ("bpe/merges.txt", "a b\n\nb a\n",
+     ["bpe-merge", "{bpe}", "{bpe}", "-o", "{out}"],
+     "FormatError", "line 3: merge result 'ba' missing from vocab"),
+    ("profile.cfg", "# profile\nmax_len = 2\n\nexcluded_single_letters = A1\n",
+     ["build-codebook", "--freq", "{freq.tsv}", "--strategy", "basic", "--profile", "{profile.cfg}"],
+     "ConfigError", "line 4: bad letter '1' in 'A1'"),
+    ("profile.cfg", "two_char_first_letters = A-\nmax_len = 2\n",
+     ["build-codebook", "--freq", "{freq.tsv}", "--strategy", "basic", "--profile", "{profile.cfg}"],
+     "ConfigError", "line 1: bad letter range 'A-'"),
 ]
 
 @pytest.mark.parametrize(

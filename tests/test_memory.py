@@ -147,6 +147,10 @@ def _encode(root, n: int) -> int:
     return _run_filter(["encode", "--codebook", str(root / "cb.tsv")], root / f"original-{n}.txt")
 
 
+def _decode(root, n: int) -> int:
+    return _run_filter(["decode", "--codebook", str(root / "cb.tsv")], root / f"encoded-{n}.txt")
+
+
 def _analyze(root, n: int) -> None:
     assert main(["analyze", str(root / f"original-{n}.txt"), "-o", os.devnull]) == 0
 
@@ -187,6 +191,8 @@ class PerInputByte:
 # row's call returns its input's size in bytes.
 GROWTH = {
     "encode": (_encode, "many lines", (250, 1000), 256 << 10),
+    # As for `verify`: 250 lines fill neither a block nor the kernel's kept arrays.
+    "decode": (_decode, "many lines", (1000, 4000), 256 << 10),
     "analyze": (_analyze, "many lines", (250, 1000), 256 << 10),
     # The smaller input of 250 lines fills neither a batch nor the kernel's kept arrays.
     "verify": (_verify, "many lines", (1000, 4000), 256 << 10),

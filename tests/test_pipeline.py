@@ -259,6 +259,36 @@ def test_pinyin_stage_marked_not_restorable(models, rng):
     assert final != text  # lossy by design
 
 
+def test_from_config_loads_the_pinyin_transform(tmp_path, models):
+    import translitkit.codebook as codebook_mod
+    from translitkit.langid import save_model
+
+    cb, input_model, output_model = models
+    codebook_mod.save_path(cb, str(tmp_path / "cb.tsv"))
+    save_model(input_model, str(tmp_path / "in.lid"))
+    save_model(output_model, str(tmp_path / "out.lid"))
+    transform = {cp: f"p{i % 9}" for i, cp in enumerate(ord(c) for c in synth.CJK_CHARS)}
+    (tmp_path / "pinyin.tsv").write_text(
+        "".join(f"{cp:04X}\t{s}\n" for cp, s in transform.items()), encoding="utf-8"
+    )
+    cfg = PipelineConfig(str(tmp_path / "cb.tsv"), str(tmp_path / "in.lid"), str(tmp_path / "out.lid"),
+                         pinyin_transform_path=str(tmp_path / "pinyin.tsv"))
+    pl = Pipeline.from_config(cfg)
+    assert pl.pinyin_transform == transform
+    text = synth.script_line(random.Random(5), "zh")
+    assert pl.process(text) == Pipeline(cb, input_model, output_model, pinyin_transform=transform).process(text)
+
+
+def test_a_stage_reply_in_invalid_utf8_is_its_line_s_trace_error(models, rng):
+    cb, input_model, output_model = models
+    cmd = f"{shlex.quote(sys.executable)} -c \"import sys; sys.stdin.read(); sys.stdout.buffer.write(b'ab\\xff')\""
+    pl = Pipeline(cb, input_model, output_model, model_stage="external", model_command=cmd)
+    text = synth.script_line(rng, "other")
+    (final, trace), = pl.batch([text])
+    assert final == text
+    assert trace.error == "StageError: model command produced invalid UTF-8 at byte 2"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig("cb", "in", "out", confidence_threshold=1.5)
