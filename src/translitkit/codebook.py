@@ -24,6 +24,7 @@ _BYTE_TOKEN = re.compile(r"<0x([0-9A-F]{2})>")  # a byte-fallback token
 #: The code points the wire grammar keeps for codes and runs: ASCII letters and '@'.
 RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
 _LEAST = {"rank": 1, "token count": 0}  # the least value of each number of a row
+_HEX = re.compile(r"[0-9a-f]*")
 
 
 def _reserved(cp: int) -> str:
@@ -70,7 +71,7 @@ class Codebook:
     kernel_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_strategy(self.strategy)
+        _check_header(self.strategy, self.source_freq_digest)
         self.char_to_code, self.code_to_char = _index((f"row {i}", e) for i, e in enumerate(self.entries, 1))
         self.code_to_text = {code: chr(cp) for code, cp in self.code_to_char.items()}
 
@@ -83,9 +84,16 @@ class Codebook:
         return sum(1 for e in self.entries if e.token_count == 1)
 
 
-def _check_strategy(strategy: str, prefix: str = "") -> None:
+def _check_header(strategy: str, digest: str, prefix: str = "") -> None:
+    """Raise, prefixed with `prefix`, unless `strategy` is known and `digest` is '' or lowercase hex.
+
+    Lowercase hex is what `FrequencyTable.digest` writes, and the header carries
+    it whole: `load` gives back the digest `save` wrote.
+    """
     if strategy not in STRATEGIES:
         raise ConfigError(f"{prefix}unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if not _HEX.fullmatch(digest):
+        raise FormatError(f"{prefix}freq digest {digest!r} is not lowercase hex")
 
 
 def _index(rows: Iterable[tuple[str, CodebookEntry]], prefix: str = "") -> tuple[dict[int, str], dict[str, int]]:
@@ -224,8 +232,8 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
     if not header.startswith("#strategy="):
         raise FormatError(f"{name} line 1: expected header '#strategy=<s> freq_digest=<hex>'")
     fields = dict(part.split("=", 1) for part in header[1:].split(" ") if "=" in part)
-    strategy = fields.get("strategy", "")
-    _check_strategy(strategy, f"{name} line 1: ")
+    strategy, digest = fields.get("strategy", ""), fields.get("freq_digest", "")
+    _check_header(strategy, digest, f"{name} line 1: ")
     entries: list[CodebookEntry] = []
 
     def rows():
@@ -251,7 +259,7 @@ def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
             entries.append(e)
 
     _index(rows(), f"{name} ")
-    return Codebook(entries, strategy, fields.get("freq_digest", ""))
+    return Codebook(entries, strategy, digest)
 
 
 def save_path(cb: Codebook, path: str) -> None:

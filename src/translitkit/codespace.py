@@ -42,8 +42,9 @@ class CodeSpaceProfile:
 
     `excluded_single_letters` removes letters from the length-1 codes only;
     `two_char_first_letters` restricts the first letter of length-2 codes only.
-    Lengths 3+ are unrestricted. Both sets are normalised so that enumeration
-    order is always (length, text) ascending, independent of input order.
+    Lengths 3+ are unrestricted; `first_letters` states this rule, and every
+    other method reads it. Both sets are normalised so that enumeration order
+    is always (length, text) ascending, independent of input order.
     """
 
     max_len: int = 2
@@ -61,39 +62,30 @@ class CodeSpaceProfile:
         object.__setattr__(self, "excluded_single_letters", excluded)
         object.__setattr__(self, "two_char_first_letters", firsts)
 
+    def first_letters(self, length: int) -> str:
+        """The letters that start this profile's codes of exactly `length`, in order; '' past `max_len`."""
+        if length < 1 or length > self.max_len:
+            return ""
+        if length == 1:
+            return "".join(c for c in UPPER if c not in self.excluded_single_letters)
+        return "".join(self.two_char_first_letters) if length == 2 else UPPER
+
     def single_letters(self) -> list[str]:
-        return [c for c in UPPER if c not in self.excluded_single_letters]
+        return list(self.first_letters(1))
 
     def slots_at(self, length: int) -> int:
         """Codes of exactly `length` this profile can emit."""
-        if length < 1 or length > self.max_len:
-            return 0
-        if length == 1:
-            return 26 - len(self.excluded_single_letters)
-        if length == 2:
-            return 26 * len(self.two_char_first_letters)
-        return capacity(length)
+        firsts = self.first_letters(length)
+        return len(firsts) * 26 ** (length - 1) if firsts else 0
 
     def __contains__(self, code: str) -> bool:
         """True iff `code` is one of the codes `iter_codes` yields."""
-        if not is_valid_code(code) or len(code) > self.max_len:
-            return False
-        if len(code) == 1:
-            return code not in self.excluded_single_letters
-        return len(code) > 2 or code[0] in self.two_char_first_letters
-
-    def total_slots(self) -> int:
-        return sum(self.slots_at(n) for n in range(1, self.max_len + 1))
+        return is_valid_code(code) and code[0] in self.first_letters(len(code))
 
     def iter_codes(self) -> Iterator[str]:
         """All codes of this profile, shortest first, lexicographic within a length."""
-        yield from self.single_letters()
-        if self.max_len >= 2:
-            for first in self.two_char_first_letters:
-                for tail in LOWER:
-                    yield first + tail
-        for length in range(3, self.max_len + 1):
-            for first in UPPER:
+        for length in range(1, self.max_len + 1):
+            for first in self.first_letters(length):
                 for tail in itertools.product(LOWER, repeat=length - 1):
                     yield first + "".join(tail)
 

@@ -1,15 +1,18 @@
 """Flat key-value config files: `key = value` lines, `#` comments, one file per concern.
 
-Paths inside a config resolve relative to the config file's directory. A key
-the loader does not know is a ConfigError naming the keys it does know; only
-the ranges file takes any key, because each of its keys names a script.
+Each loader hands `_read` one table of its keys, each with the reader of its
+value, drawn from the fields of the object the file builds. A key the table
+lacks, or a value its reader refuses, is a ConfigError naming the file's line
+and, for an unknown key, the keys the table holds. Only the ranges file takes
+any key, because each of its keys names a script. Paths inside a config
+resolve relative to the config file's directory.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import fields
-from typing import TYPE_CHECKING
+from dataclasses import MISSING, fields, replace
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import textio
 from .codespace import UPPER, CodeSpaceProfile
@@ -19,6 +22,12 @@ if TYPE_CHECKING:  # each is imported by the one loader that uses it
     from .freqanalysis import ScriptRange
     from .langid import TrainingParams
     from .pipeline import PipelineConfig
+
+Reader = Callable[[str], Any]
+#: What `int` and `float` ask of a value; `_read` words their refusals.
+_MUST_BE: dict[Reader, str] = {int: "an integer", float: "a number"}
+#: The keys of the two ends of `TrainingParams.ngram_range`.
+_NGRAM_ENDS = ("ngram_min", "ngram_max")
 
 
 def load_kv(path: str) -> dict[str, str]:
@@ -44,15 +53,32 @@ def _read_kv(path: str) -> tuple[dict[str, str], dict[str, int]]:
     return pairs, line_of
 
 
-def _check_keys(pairs: dict[str, str], allowed: tuple[str, ...], path: str) -> None:
-    """Raise ConfigError naming the first key of `pairs` not in `allowed`."""
-    for key in pairs:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}; expected one of {', '.join(allowed)}")
+def _read(path: str, readers: dict[str, Reader], every: Reader | None = None) -> dict[str, Any]:
+    """The values of `path`'s keys, each read by its reader in `readers`, or by `every` if given.
+
+    An unknown key, or a value its reader refuses, is a ConfigError naming the
+    key's line. A reader refuses with a ConfigError that words the refusal, or
+    with a ValueError read as "key K must be <message>", where `_MUST_BE`
+    gives the message for `int` and `float`.
+    """
+    pairs, line_of = _read_kv(path)
+    values = {}
+    for key, text in pairs.items():
+        where = f"{path} line {line_of[key]}"
+        read = readers.get(key, every)
+        if read is None:
+            raise ConfigError(f"{where}: unknown key {key!r}; expected one of {', '.join(readers)}")
+        try:
+            values[key] = read(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{where}: key {key!r} must be {_MUST_BE.get(read, exc)}") from exc
+    return values
 
 
-def parse_letters(spec: str, where: str = "") -> list[str]:
-    """Uppercase letter set: 'A-F', 'ABCDEF' and 'A,B,C' all work; '' is empty. `where` prefixes an error."""
+def parse_letters(spec: str) -> list[str]:
+    """Uppercase letter set: 'A-F', 'ABCDEF' and 'A,B,C' all work; '' is empty."""
     spec = spec.replace(",", "").replace(" ", "")
     if not spec:
         return []
@@ -60,140 +86,106 @@ def parse_letters(spec: str, where: str = "") -> list[str]:
         lo, _, hi = spec.partition("-")
         if len(lo) == 1 and len(hi) == 1 and lo in UPPER and hi in UPPER and lo <= hi:
             return list(UPPER[UPPER.index(lo) : UPPER.index(hi) + 1])
-        raise ConfigError(f"{where}bad letter range {spec!r}")
+        raise ConfigError(f"bad letter range {spec!r}")
     for c in spec:
         if c not in UPPER:
-            raise ConfigError(f"{where}bad letter {c!r} in {spec!r}")
+            raise ConfigError(f"bad letter {c!r} in {spec!r}")
     return list(spec)
 
 
-def _get_int(pairs: dict[str, str], key: str, default: int, path: str) -> int:
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: key {key!r} must be an integer") from exc
-
-
-def _get_float(pairs: dict[str, str], key: str, default: float, path: str) -> float:
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: key {key!r} must be a number") from exc
-
-
-_PROFILE_KEYS = ("max_len", "excluded_single_letters", "two_char_first_letters")
-_PIPELINE_KEYS = (
-    "codebook", "input_model", "output_model", "model_stage", "model_command", "decode_mode",
-    "confidence_threshold", "pinyin_transform",
-)
-_TRAINING_KEYS = (
-    "preset", "learning_rate", "epochs", "ngram_min", "ngram_max", "min_count", "seed", "hash_buckets",
-)
-
-
 def load_profile(path: str) -> CodeSpaceProfile:
-    """Keys: max_len, excluded_single_letters, two_char_first_letters."""
-    pairs, line_of = _read_kv(path)
-    _check_keys(pairs, _PROFILE_KEYS, path)
-    defaults = CodeSpaceProfile()
-    kwargs = {}
-    kwargs["max_len"] = _get_int(pairs, "max_len", defaults.max_len, path)
-    for key, kind in (("excluded_single_letters", frozenset), ("two_char_first_letters", tuple)):
-        if key in pairs:
-            kwargs[key] = kind(parse_letters(pairs[key], f"{path} line {line_of[key]}: "))
+    """One key per `CodeSpaceProfile` field: `max_len` an integer, each letter set as `parse_letters` reads it."""
+    values = _read(path, {f.name: int if f.type == "int" else parse_letters for f in fields(CodeSpaceProfile)})
     try:
-        return CodeSpaceProfile(**kwargs)
+        return CodeSpaceProfile(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_interval(part: str, path: str) -> tuple[int, int]:
+def _parse_interval(part: str) -> tuple[int, int]:
     part = part.strip().removeprefix("U+").replace("U+", "")
     lo, sep, hi = part.partition("-")
     try:
         lo_cp = int(lo, 16)
         hi_cp = int(hi, 16) if sep else lo_cp
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad code point interval {part!r}") from exc
+        raise ConfigError(f"bad code point interval {part!r}") from exc
     return lo_cp, hi_cp
+
+
+def _intervals(value: str) -> tuple[tuple[int, int], ...]:
+    return tuple(_parse_interval(p) for p in value.split(",") if p.strip())
 
 
 def load_ranges(path: str) -> list[ScriptRange]:
     """One key per script; values are comma-separated hex intervals like 0F00-0FFF."""
     from .freqanalysis import ScriptRange
 
-    pairs = load_kv(path)
-    if not pairs:
+    values = _read(path, {}, every=_intervals)
+    if not values:
         raise ConfigError(f"{path}: no script ranges defined")
-    ranges = []
-    for name, value in pairs.items():
-        intervals = tuple(_parse_interval(p, path) for p in value.split(",") if p.strip())
-        try:
-            ranges.append(ScriptRange(name, intervals))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return ranges
+    try:
+        return [ScriptRange(name, intervals) for name, intervals in values.items()]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _as_type(type_: str) -> Reader:
+    """The reader of a setting of field type `type_`: a number for a float, else the text, None for '' where allowed."""
+    if "float" in type_:
+        return float
+    return (lambda text: text or None) if "None" in type_ else str
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
-    """A path key `k` sets `k_path`, resolved against the file's directory; the first
-    three are required. Any other key is a `PipelineSettings` field, read as its
-    type: a number for a float, None for an empty value where None is allowed.
-    A setting the file omits keeps its default.
+    """One key per `PipelineConfig` field, in the order its constructor takes them.
+
+    A path field `k_path` is the key `k`, resolved against the file's directory;
+    the fields with no default are required. Any other key is a setting, read as
+    its field's type (see `_as_type`). A setting the file omits keeps its default.
     """
     from .pipeline import PipelineConfig
 
-    pairs = load_kv(path)
-    _check_keys(pairs, _PIPELINE_KEYS, path)
-    for required in _PIPELINE_KEYS[:3]:
-        if not pairs.get(required):
-            raise ConfigError(f"{path}: missing required key {required!r}")
     base = os.path.dirname(os.path.abspath(path))
-    types = {f.name: str(f.type) for f in fields(PipelineConfig)}
-    kwargs: dict[str, object] = {}
-    for key, value in pairs.items():
-        if key not in types:  # a path key
-            kwargs[f"{key}_path"] = os.path.join(base, value) if value else None
-        elif not value and "None" in types[key]:
-            kwargs[key] = None
-        elif "float" in types[key]:
-            kwargs[key] = _get_float(pairs, key, None, path)
-        else:
-            kwargs[key] = value
+
+    def resolve(text: str) -> str | None:
+        return os.path.join(base, text) if text else None
+
+    by_key = {f.name.removesuffix("_path"): f for f in sorted(fields(PipelineConfig), key=lambda f: f.kw_only)}
+    values = _read(path, {key: resolve if key != f.name else _as_type(f.type) for key, f in by_key.items()})
+    for key, f in by_key.items():
+        if f.default is MISSING and not values.get(key):
+            raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        return PipelineConfig(**kwargs)
+        return PipelineConfig(**{by_key[key].name: value for key, value in values.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_training_params(path: str) -> tuple[TrainingParams, int]:
-    """Returns (params, hash_buckets), checked as `langid.train` checks them. Key `preset` picks the defaults."""
+    """Returns (params, hash_buckets), checked as `langid.train` checks them.
+
+    Keys: `preset` (input or output) picks the defaults; one per `TrainingParams`
+    field, `ngram_range` as its two ends `ngram_min` and `ngram_max`; and `hash_buckets`.
+    """
     from .langid import DEFAULT_HASH_BUCKETS, TrainingParams, _check_params
 
-    pairs = load_kv(path)
-    _check_keys(pairs, _TRAINING_KEYS, path)
-    preset = pairs.get("preset", "input")
-    if preset == "input":
-        base = TrainingParams.input_defaults()
-    elif preset == "output":
-        base = TrainingParams.output_defaults()
-    else:
-        raise ConfigError(f"{path}: preset must be 'input' or 'output', got {preset!r}")
-    params = TrainingParams(
-        learning_rate=_get_float(pairs, "learning_rate", base.learning_rate, path),
-        epochs=_get_int(pairs, "epochs", base.epochs, path),
-        ngram_range=(
-            _get_int(pairs, "ngram_min", base.ngram_range[0], path),
-            _get_int(pairs, "ngram_max", base.ngram_range[1], path),
-        ),
-        min_count=_get_int(pairs, "min_count", base.min_count, path),
-        seed=_get_int(pairs, "seed", base.seed, path),
-    )
-    buckets = _get_int(pairs, "hash_buckets", DEFAULT_HASH_BUCKETS, path)
+    presets = {"input": TrainingParams.input_defaults(), "output": TrainingParams.output_defaults()}
+
+    def preset(text: str) -> TrainingParams:
+        if text not in presets:
+            raise ValueError(f"'input' or 'output', got {text!r}")
+        return presets[text]
+
+    readers: dict[str, Reader] = {"preset": preset}
+    for f in fields(TrainingParams):
+        keys = _NGRAM_ENDS if f.name == "ngram_range" else (f.name,)
+        readers |= dict.fromkeys(keys, float if f.type == "float" else int)
+    values = _read(path, readers | {"hash_buckets": int})
+    base = values.pop("preset", presets["input"])
+    ngram_range = tuple(values.pop(key, end) for key, end in zip(_NGRAM_ENDS, base.ngram_range))
+    buckets = values.pop("hash_buckets", DEFAULT_HASH_BUCKETS)
+    params = replace(base, ngram_range=ngram_range, **values)
     try:
         _check_params(params, buckets)
     except TrainingError as exc:

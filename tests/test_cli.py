@@ -754,6 +754,29 @@ def test_decode_cli_decodes_every_short_string_as_scan_decode_does(tmp_path, mod
     assert clean and raising and (warnings or mode == "strict")  # each half of the check ran
 
 
+# Encode, then decode, every string up to ENCODE_LENGTH over an alphabet of both
+# mapped characters, the reserved 'A', 'a' and '@', a space and '\r', under a
+# codebook whose codes have one and two letters: through the library and, each
+# string a line of stdin, through the `encode` and `decode` filters.
+ENCODE_ALPHABET = "\u0f40\u0f41Aa@ \r"
+ENCODE_LENGTH = 6  # 137,257 strings
+
+
+def test_every_short_string_survives_encode_then_decode(tmp_path):
+    entries = [codebook.CodebookEntry(0x0F40, "A", 1, 0), codebook.CodebookEntry(0x0F41, "Ba", 2, 0)]
+    cb = codebook.Codebook(entries, "basic")
+    strings = ["".join(t) for n in range(ENCODE_LENGTH + 1) for t in itertools.product(ENCODE_ALPHABET, repeat=n)]
+    report = translit.verify_roundtrip(strings, cb)
+    assert (report.total, report.failures) == (len(strings), 0)
+    encode = translit.translator(cb)
+    assert [s for s in strings if translit.scan_decode(encode(s), cb).text != s] == []
+    codebook.save_path(cb, str(tmp_path / "cb.tsv"))
+    data = "".join(s + "\n" for s in strings).encode("utf-8")
+    status, encoded = _pipe(["encode", "--codebook", str(tmp_path / "cb.tsv")], data)
+    assert status == 0
+    assert _pipe(["decode", "--codebook", str(tmp_path / "cb.tsv")], encoded) == (0, data)
+
+
 # --- detect and pipeline over several input blocks ---------------------------
 
 

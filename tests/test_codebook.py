@@ -161,6 +161,26 @@ def test_the_constructor_refuses_or_save_then_load_gives_it_back(entries, strate
     assert (loaded.char_to_code, loaded.code_to_char) == (cb.char_to_code, cb.code_to_char)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text() | st.text("0123456789abcdefABF x=\t\r\n", max_size=20))
+def test_a_digest_the_constructor_takes_loads_back_unchanged(digest):
+    try:
+        cb = Codebook([CodebookEntry(0x0F40, "B", 1, 0)], "basic", digest)
+    except TranslitError:
+        return
+    buf = io.StringIO()
+    save(cb, buf)
+    assert load(io.BytesIO(buf.getvalue().encode("utf-8"))).source_freq_digest == digest
+
+
+@pytest.mark.parametrize("digest", ["0F4G", "ABCD", "a\rb"])
+def test_load_names_line_1_for_a_digest_that_is_not_lowercase_hex(digest):
+    text = f"#strategy=basic freq_digest={digest}\n0F40\tB\t1\t0\n"
+    with pytest.raises(FormatError) as info:
+        load(io.BytesIO(text.encode("utf-8")))
+    assert str(info.value) == f"<codebook> line 1: freq digest {digest!r} is not lowercase hex"
+
+
 def test_reserved_codepoints_rejected():
     with pytest.raises(IntegrityError):
         build_basic([ord("A")])
@@ -260,7 +280,8 @@ def test_tokenizer_optimized_matches_the_full_scan(model, profile, past_short_co
         anchor = profile.slots_at(1) + profile.slots_at(2)
     else:
         anchor = sum(len(model.tokenize(code)) == 1 for code in profile.iter_codes())
-    chars = list(range(0x0F00, 0x0F00 + min(max(0, anchor + offset), profile.total_slots())))
+    total = sum(map(profile.slots_at, range(1, profile.max_len + 1)))
+    chars = list(range(0x0F00, 0x0F00 + min(max(0, anchor + offset), total)))
     expected = ref_build_tokenizer_optimized(chars, profile, model)
     assert build_tokenizer_optimized(chars, profile, model) == expected
 
@@ -289,7 +310,7 @@ def test_tokenizer_optimized_cost_does_not_grow_with_the_code_space(chars_162):
     # About 321M codes; the 702 single-token codes of the model cover the characters.
     profile = CodeSpaceProfile(max_len=6, excluded_single_letters=frozenset(),
                                two_char_first_letters=tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
-    assert profile.total_slots() > 321_000_000
+    assert sum(map(profile.slots_at, range(1, 7))) > 321_000_000
     start = time.perf_counter()
     cb = build_tokenizer_optimized(chars_162, profile, letter_model(True))
     assert time.perf_counter() - start < 1.0

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from translitkit.codespace import (
     DEFAULT_PROFILE,
     FULL_PROFILE,
+    LOWER,
     UPPER,
     CodeSpaceProfile,
     capacity,
@@ -55,8 +58,12 @@ def test_default_profile_162():
     assert doubles[0] == "Aa" and doubles[-1] == "Fk"
 
 
+def total_slots(profile):
+    return sum(profile.slots_at(n) for n in range(1, profile.max_len + 1))
+
+
 def test_full_profile_total():
-    assert FULL_PROFILE.total_slots() == 475_254
+    assert total_slots(FULL_PROFILE) == 475_254
 
 
 def test_full_profile_length_boundaries():
@@ -95,7 +102,7 @@ profiles = st.builds(
 
 @given(profile=profiles, data=st.data())
 def test_enumeration_sorted_unique_valid(profile, data):
-    count = data.draw(st.integers(min_value=0, max_value=min(500, profile.total_slots())))
+    count = data.draw(st.integers(min_value=0, max_value=min(500, total_slots(profile))))
     codes = enumerate_codes(profile, count)
     assert len(codes) == count
     assert len(set(codes)) == count
@@ -106,7 +113,7 @@ def test_enumeration_sorted_unique_valid(profile, data):
 
 @given(profile=profiles)
 def test_enumeration_matches_slots(profile):
-    total = profile.total_slots()
+    total = total_slots(profile)
     if total <= 2000:
         assert len(enumerate_codes(profile, total)) == total
     with pytest.raises(CapacityError):
@@ -116,3 +123,18 @@ def test_enumeration_matches_slots(profile):
 @given(profile=profiles, code=st.text(st.sampled_from("ABCXYZabz1@"), max_size=4))
 def test_membership_matches_enumeration(profile, code):
     assert (code in profile) == (code in set(profile.iter_codes()))
+
+
+# Every valid code of length 1 to 3, in canonical order.
+_CODES_UP_TO_3 = [
+    first + "".join(tail) for n in range(3) for first in UPPER for tail in itertools.product(LOWER, repeat=n)
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(profile=profiles)
+def test_membership_enumeration_and_slots_agree_on_every_code_up_to_length_3(profile):
+    codes = list(profile.iter_codes())
+    assert [code for code in _CODES_UP_TO_3 if code in profile] == codes
+    for n in range(1, 4):
+        assert profile.slots_at(n) == sum(len(code) == n for code in codes)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from translitkit.codespace import DEFAULT_PROFILE
+from translitkit.codespace import DEFAULT_PROFILE, FULL_PROFILE
 from translitkit.config import (
     load_kv,
     load_pipeline_config,
@@ -13,6 +13,7 @@ from translitkit.config import (
     parse_letters,
 )
 from translitkit.errors import ConfigError
+from translitkit.freqanalysis import DEFAULT_SCRIPT_RANGES
 
 
 def write(tmp_path, name, text):
@@ -132,7 +133,8 @@ def test_unknown_key_is_an_error(tmp_path, load, text, key, expected):
     path = write(tmp_path, "x.cfg", text)
     with pytest.raises(ConfigError) as info:
         load(path)
-    assert str(info.value) == f"{path}: unknown key {key!r}; expected one of {expected}"
+    line = text.count("\n", 0, text.index(key)) + 1
+    assert str(info.value) == f"{path} line {line}: unknown key {key!r}; expected one of {expected}"
 
 
 @pytest.mark.parametrize(
@@ -150,7 +152,7 @@ def test_cli_exits_2_on_an_unknown_key(tmp_path, capsys, flag, args):
     subs = {"{freq}": write(tmp_path, "freq.tsv", ""), "{out}": str(tmp_path / "out")}
     assert main([subs.get(a, a) for a in args] + [flag, path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ConfigError: {path}: unknown key 'misspelt'; expected one of ")
+    assert err.startswith(f"error: ConfigError: {path} line 1: unknown key 'misspelt'; expected one of ")
 
 
 def test_ranges_take_any_script_name(tmp_path):
@@ -172,6 +174,18 @@ def test_every_shipped_config_loads(path):
     loads[0](str(path))
 
 
+@pytest.mark.parametrize(
+    "name, load, builtin",
+    [
+        ("profile-default.cfg", load_profile, DEFAULT_PROFILE),
+        ("profile-full.cfg", load_profile, FULL_PROFILE),
+        ("ranges-default.cfg", lambda path: tuple(load_ranges(path)), DEFAULT_SCRIPT_RANGES),
+    ],
+)
+def test_each_shipped_default_loads_to_its_built_in_twin(name, load, builtin):
+    assert load(str(_CONFIGS / name)) == builtin
+
+
 def test_demo_script_configs_load(tmp_path):
     script = (_CONFIGS.parent / "scripts" / "run_demo.sh").read_text(encoding="utf-8")
     heredocs = re.findall(r'cat > "\$WORK/([\w-]+\.cfg)" <<\'EOF\'\n(.*?)\nEOF\n', script, re.S)
@@ -184,7 +198,7 @@ def test_a_float_key_that_is_not_a_number_names_the_file(tmp_path):
     path = write(tmp_path, "t.cfg", "preset = input\nlearning_rate = fast\n")
     with pytest.raises(ConfigError) as info:
         load_training_params(path)
-    assert str(info.value) == f"{path}: key 'learning_rate' must be a number"
+    assert str(info.value) == f"{path} line 2: key 'learning_rate' must be a number"
 
 
 @pytest.mark.parametrize(

@@ -152,7 +152,7 @@ def test_lone_cr_stays_inside_a_config_value(files, capsys):
     profile = files("profile-cr.cfg", "max_len = 3\rexcluded_single_letters = A\n")
     freq = str(files.root / "freq.tsv")
     assert main(["build-codebook", "--freq", freq, "--strategy", "basic", "--profile", profile]) == 2
-    assert capsys.readouterr().err == f"error: ConfigError: {profile}: key 'max_len' must be an integer\n"
+    assert capsys.readouterr().err == f"error: ConfigError: {profile} line 1: key 'max_len' must be an integer\n"
 
 
 def test_lone_cr_stays_inside_a_frequency_row(files, capsys):
