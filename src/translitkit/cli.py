@@ -127,19 +127,15 @@ def cmd_decode(args) -> int:
 
     def fn(block: str, lineno: int) -> Iterator[str]:
         nonlocal warnings_total
-        text, scans = translit.decode_block(block, cb, args.mode)
-        # Each marked line's scan (with its '\r', which passes through) takes its
-        # place in the kernel's text. A block with no marked line stays one piece.
-        pieces = text.split("\n") if scans else [text]
+        lines, scans = translit.decode_block(block, cb, args.mode)
         for i, out in scans.items():
             if isinstance(out, TranslitError):
-                yield "".join(piece + "\n" for piece in pieces[:i])
+                yield "".join(line + "\n" for line in lines[:i])
                 raise type(out)(f"{STDIN} line {lineno + i}: {out}", offset=out.offset) from None
-            pieces[i] = out.text
             warnings_total += len(out.warnings)
             for w in out.warnings:
                 log.warning("%s line %d: %s", STDIN, lineno + i, w)
-        yield "\n".join(pieces)
+        yield "\n".join(lines)
 
     _filter(fn)
     if warnings_total:

@@ -25,6 +25,7 @@ _BYTE_TOKEN = re.compile(r"<0x([0-9A-F]{2})>")  # a byte-fallback token
 RESERVED = frozenset(range(ord("A"), ord("Z") + 1)) | frozenset(range(ord("a"), ord("z") + 1)) | {ord("@")}
 _LEAST = {"rank": 1, "token count": 0}  # the least value of each number of a row
 _HEX = re.compile(r"[0-9a-f]*")
+_HEADER = re.compile(r"#strategy=([^ ]*) freq_digest=([^ ]*)")  # line 1 as `save` writes it
 
 
 def _reserved(cp: int) -> str:
@@ -228,11 +229,10 @@ def save(cb: Codebook, out: IO[str]) -> None:
 def load(src: BinaryIO, name: str = "<codebook>") -> Codebook:
     """Parse the TSV that `save` writes from a binary stream; `name` labels every error."""
     lines = textio.read_lines(src, name)
-    header = next(lines, ("", ""))[0]
-    if not header.startswith("#strategy="):
+    header = _HEADER.fullmatch(next(lines, ("", ""))[0])
+    if header is None:
         raise FormatError(f"{name} line 1: expected header '#strategy=<s> freq_digest=<hex>'")
-    fields = dict(part.split("=", 1) for part in header[1:].split(" ") if "=" in part)
-    strategy, digest = fields.get("strategy", ""), fields.get("freq_digest", "")
+    strategy, digest = header.groups()
     _check_header(strategy, digest, f"{name} line 1: ")
     entries: list[CodebookEntry] = []
 

@@ -1,11 +1,11 @@
 """Flat key-value config files: `key = value` lines, `#` comments, one file per concern.
 
-Each loader hands `_read` one table of its keys, each with the reader of its
-value, drawn from the fields of the object the file builds. A key the table
-lacks, or a value its reader refuses, is a ConfigError naming the file's line
-and, for an unknown key, the keys the table holds. Only the ranges file takes
-any key, because each of its keys names a script. Paths inside a config
-resolve relative to the config file's directory.
+Each loader hands `_read` the builder of its object and a table of its keys,
+drawn from the object's fields, each with the reader of its value. A key the
+table lacks, or a value its reader or the object refuses, is a ConfigError
+naming the file's line and, for an unknown key, the keys the table holds. Only
+the ranges file takes any key, because each of its keys names a script. Paths
+inside a config resolve relative to the config file's directory.
 """
 
 from __future__ import annotations
@@ -53,13 +53,15 @@ def _read_kv(path: str) -> tuple[dict[str, str], dict[str, int]]:
     return pairs, line_of
 
 
-def _read(path: str, readers: dict[str, Reader], every: Reader | None = None) -> dict[str, Any]:
-    """The values of `path`'s keys, each read by its reader in `readers`, or by `every` if given.
+def _read(path: str, readers: dict[str, Reader], build: Callable, every: Reader | None = None, required=()) -> Any:
+    """`build(**values)` of `path`'s keys, each value read by its reader in `readers`, or by `every` if given.
 
-    An unknown key, or a value its reader refuses, is a ConfigError naming the
-    key's line. A reader refuses with a ConfigError that words the refusal, or
-    with a ValueError read as "key K must be <message>", where `_MUST_BE`
-    gives the message for `int` and `float`.
+    An unknown key, a value its reader refuses, or an empty `required` value is
+    a ConfigError naming the key's line; an absent required key names the file.
+    A reader refuses with a ConfigError that words the refusal, or a ValueError
+    read as "key K must be <message>" (`_MUST_BE` words `int` and `float`). A
+    refusal of `build` (a ValueError or a TrainingError) names the first line
+    where the required values and those above it are refused in the same words.
     """
     pairs, line_of = _read_kv(path)
     values = {}
@@ -74,7 +76,22 @@ def _read(path: str, readers: dict[str, Reader], every: Reader | None = None) ->
             raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{where}: key {key!r} must be {_MUST_BE.get(read, exc)}") from exc
-    return values
+    for key in required:
+        if not values.get(key):
+            raise ConfigError(f"{path}{f' line {line_of[key]}' if key in values else ''}: missing required key {key!r}")
+    try:
+        return build(**values)
+    except (ValueError, TrainingError) as exc:
+        refusal = exc
+    so_far = {key: values[key] for key in required}
+    for key, value in values.items():
+        so_far[key] = value
+        try:
+            build(**so_far)
+        except (ValueError, TrainingError) as exc:
+            if str(exc) == str(refusal):
+                raise ConfigError(f"{path} line {line_of[key]}: {exc}") from exc
+    raise ConfigError(f"{path}: {refusal}") from refusal
 
 
 def parse_letters(spec: str) -> list[str]:
@@ -95,11 +112,8 @@ def parse_letters(spec: str) -> list[str]:
 
 def load_profile(path: str) -> CodeSpaceProfile:
     """One key per `CodeSpaceProfile` field: `max_len` an integer, each letter set as `parse_letters` reads it."""
-    values = _read(path, {f.name: int if f.type == "int" else parse_letters for f in fields(CodeSpaceProfile)})
-    try:
-        return CodeSpaceProfile(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    readers = {f.name: int if f.type == "int" else parse_letters for f in fields(CodeSpaceProfile)}
+    return _read(path, readers, CodeSpaceProfile)
 
 
 def _parse_interval(part: str) -> tuple[int, int]:
@@ -121,13 +135,10 @@ def load_ranges(path: str) -> list[ScriptRange]:
     """One key per script; values are comma-separated hex intervals like 0F00-0FFF."""
     from .freqanalysis import ScriptRange
 
-    values = _read(path, {}, every=_intervals)
-    if not values:
+    ranges = _read(path, {}, lambda **values: [ScriptRange(*item) for item in values.items()], every=_intervals)
+    if not ranges:
         raise ConfigError(f"{path}: no script ranges defined")
-    try:
-        return [ScriptRange(name, intervals) for name, intervals in values.items()]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return ranges
 
 
 def _as_type(type_: str) -> Reader:
@@ -152,14 +163,12 @@ def load_pipeline_config(path: str) -> PipelineConfig:
         return os.path.join(base, text) if text else None
 
     by_key = {f.name.removesuffix("_path"): f for f in sorted(fields(PipelineConfig), key=lambda f: f.kw_only)}
-    values = _read(path, {key: resolve if key != f.name else _as_type(f.type) for key, f in by_key.items()})
-    for key, f in by_key.items():
-        if f.default is MISSING and not values.get(key):
-            raise ConfigError(f"{path}: missing required key {key!r}")
-    try:
+    readers = {key: resolve if key != f.name else _as_type(f.type) for key, f in by_key.items()}
+
+    def build(**values: Any) -> PipelineConfig:
         return PipelineConfig(**{by_key[key].name: value for key, value in values.items()})
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+
+    return _read(path, readers, build, required=[key for key, f in by_key.items() if f.default is MISSING])
 
 
 def load_training_params(path: str) -> tuple[TrainingParams, int]:
@@ -181,13 +190,13 @@ def load_training_params(path: str) -> tuple[TrainingParams, int]:
     for f in fields(TrainingParams):
         keys = _NGRAM_ENDS if f.name == "ngram_range" else (f.name,)
         readers |= dict.fromkeys(keys, float if f.type == "float" else int)
-    values = _read(path, readers | {"hash_buckets": int})
-    base = values.pop("preset", presets["input"])
-    ngram_range = tuple(values.pop(key, end) for key, end in zip(_NGRAM_ENDS, base.ngram_range))
-    buckets = values.pop("hash_buckets", DEFAULT_HASH_BUCKETS)
-    params = replace(base, ngram_range=ngram_range, **values)
-    try:
+
+    def build(**values: Any) -> tuple[TrainingParams, int]:
+        base = values.pop("preset", presets["input"])
+        ngram_range = tuple(values.pop(key, end) for key, end in zip(_NGRAM_ENDS, base.ngram_range))
+        buckets = values.pop("hash_buckets", DEFAULT_HASH_BUCKETS)
+        params = replace(base, ngram_range=ngram_range, **values)
         _check_params(params, buckets)
-    except TrainingError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return params, buckets
+        return params, buckets
+
+    return _read(path, readers | {"hash_buckets": int}, build)

@@ -2,8 +2,8 @@
 
 This is the numpy half of `translit`, kept apart so that the processes that
 never decode (encode, analyze, the builds) do not import numpy. It decodes
-the lines of a string in one pass and marks the lines that `translit`'s
-scalar scan must judge; `translit.decode_block`, its one caller, scans them.
+the lines of a string in one pass, each '\\n' it writes ending a line, and
+marks those that `translit.decode_block`, its one caller, must scan.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -403,8 +403,9 @@ def save_model(model: LangIdModel, path: str) -> None:
             fh.write(np.ascontiguousarray(array, dtype=dtype))  # the array's own bytes, not a copy
 
 
-# The JSON type of each training parameter that `save_model` writes, ngram_range aside.
-_PARAM_TYPES = {"learning_rate": (float, int), "epochs": (int,), "min_count": (int,), "seed": (int,)}
+# The JSON types each training parameter may have in a `.lid` header; a float field takes an int too.
+_PARAM_TYPES = {f.name: (float, int) if f.type == "float" else (int,) for f in fields(TrainingParams)}
+del _PARAM_TYPES["ngram_range"]  # a pair, read by `_int_pair`
 
 
 def _typed(value: object, types: tuple[type, ...], what: str):

@@ -145,8 +145,9 @@ def to_latin(text: str, cb: Codebook, transform: Mapping[int, str] | None = None
 # errors and makes the lenient repairs. Every decode of more than a short
 # string goes one way, `decode_block`: a kernel pass over each run of whole
 # lines of up to `kernel._SCRATCH_MAX` code points, then a scan of each
-# marked line alone. `kernel` is imported where it is called, so that a
-# process that never reaches it does not import numpy.
+# marked line alone; its callers join or index the lines it gives, scans in
+# place. `kernel` is imported where it is called, so that a process that
+# never reaches it does not import numpy.
 
 
 def _check_mode(mode: str) -> None:
@@ -223,22 +224,23 @@ def _scanned(enc: str, cb: Codebook, mode: str) -> DecodeResult | TranslitError:
         return exc
 
 
-def decode_block(enc: str, cb: Codebook, mode: str) -> tuple[str, dict[int, DecodeResult | TranslitError]]:
-    """`kernel.kernel_lines` over the '\\n'-separated lines of `enc`: ``(text, scans)``.
+def decode_block(enc: str, cb: Codebook, mode: str) -> tuple[list[str], dict[int, DecodeResult | TranslitError]]:
+    """The '\\n'-separated lines of `enc`, decoded: ``(lines, scans)``.
 
     The kernel takes runs of whole lines of at most `kernel._SCRATCH_MAX` code
     points, so a string of lines decodes in the arrays the kernel keeps and
     one no longer than that in one call; a longer line goes whole, alone.
-    `text` is the kernel's, marked lines left empty; `scans` maps each marked
-    line's number, in order, to its own `scan_decode` or the error it raised.
+    `scans` maps each marked line's number, in order, to its `scan_decode` or
+    the error it raised. `lines` holds each line's text: its scan's, '' if that
+    raised, else the kernel's, split before a scan (which may hold '\\n') goes in.
     """
     from . import kernel
 
     _check_mode(mode)
     most = kernel._SCRATCH_MAX
-    texts: list[str] = []
+    lines: list[str] = []
     scans: dict[int, DecodeResult | TranslitError] = {}
-    start = first = 0  # the piece's first code point and line number
+    start = 0  # the piece's first code point
     while True:
         end = len(enc) if len(enc) - start <= most else enc.rfind("\n", start, start + most + 1)
         if end < 0:  # no line ends within `most`: the line at `start` goes alone
@@ -246,13 +248,16 @@ def decode_block(enc: str, cb: Codebook, mode: str) -> tuple[str, dict[int, Deco
             end = len(enc) if end < 0 else end
         piece = enc[start:end]
         text, bad = kernel.kernel_lines(piece, cb)
-        texts.append(text)
-        if bad:
-            lines = piece.split("\n")
-            scans.update((first + i, _scanned(lines[i], cb, mode)) for i in bad)
+        first = len(lines)
+        lines += text.split("\n")
+        encoded = piece.split("\n") if bad else []
+        for i in bad:
+            out = scans[first + i] = _scanned(encoded[i], cb, mode)
+            if isinstance(out, DecodeResult):
+                lines[first + i] = out.text
         if end == len(enc):
-            return "\n".join(texts), scans
-        start, first = end + 1, first + piece.count("\n") + 1
+            return lines, scans
+        start = end + 1
 
 
 def decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
@@ -267,20 +272,17 @@ def decode(enc: str, cb: Codebook, mode: str = "strict") -> DecodeResult:
     """
     if len(enc) < _KERNEL_MIN:
         return scan_decode(enc, cb, mode)
-    text, scans = decode_block(enc, cb, mode)
-    if not scans:
-        return DecodeResult(text, [])
-    pieces, warnings = text.split("\n"), []
-    starts = list(itertools.accumulate((len(line) + 1 for line in enc.split("\n")), initial=0))
+    lines, scans = decode_block(enc, cb, mode)
+    warnings: list[str] = []
+    starts = list(itertools.accumulate((len(line) + 1 for line in enc.split("\n")), initial=0)) if scans else []
     for i, out in scans.items():
         if isinstance(out, TranslitError):
             tail = scan_decode(enc, cb, mode, starts[i])
-            return DecodeResult("\n".join(pieces[:i] + [tail.text]), warnings + tail.warnings)
-        pieces[i] = out.text
+            return DecodeResult("\n".join(lines[:i] + [tail.text]), warnings + tail.warnings)
         for w in out.warnings:  # 'offset N: ...', N counted in the line
             offset, rest = w.removeprefix("offset ").split(":", 1)
             warnings.append(f"offset {int(offset) + starts[i]}:{rest}")
-    return DecodeResult("\n".join(pieces), warnings)
+    return DecodeResult("\n".join(lines), warnings)
 
 
 def from_latin(enc: str, cb: Codebook, mode: str = "strict") -> str:
@@ -303,23 +305,15 @@ def _batches(lines: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def splice(
-    encoded: list[str], text: str, scans: dict[int, DecodeResult | TranslitError], cb: Codebook, mode: str
-) -> list[DecodeResult | TranslitError]:
-    """Per line of `encoded`, its DecodeResult or the TranslitError it raised.
-
-    `text, scans` is `decode_block` of the lines joined by '\\n'. If a line
-    holds '\\n', the kernel's lines are not these, and each is scanned alone.
-    """
-    pieces = text.split("\n")
-    if len(pieces) != len(encoded):
-        return [_scanned(enc, cb, mode) for enc in encoded]
-    return [scans[i] if i in scans else DecodeResult(piece, []) for i, piece in enumerate(pieces)]
-
-
 def decode_lines(encoded: list[str], cb: Codebook, mode: str = "strict") -> list[DecodeResult | TranslitError]:
-    """Decode each of `encoded` with one `decode_block` pass over the lines joined by '\\n' (see `splice`)."""
-    return splice(encoded, *decode_block("\n".join(encoded), cb, mode), cb, mode)
+    """Per line of `encoded`, its DecodeResult or the TranslitError it raised, from one `decode_block` pass.
+
+    If a line holds '\\n', the block's lines are not these, and each is scanned alone.
+    """
+    lines, scans = decode_block("\n".join(encoded), cb, mode)
+    if len(lines) != len(encoded):
+        return [_scanned(enc, cb, mode) for enc in encoded]
+    return [scans.get(i) or DecodeResult(line, []) for i, line in enumerate(lines)]
 
 
 def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
@@ -327,8 +321,8 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
 
     Each batch takes one `decode_block` pass over its lines' encodings joined
     by '\\n' (when '\\n' encodes to itself, the encoding of the joined lines:
-    no run crosses '\\n'). A pass that marks no line and gives the joined text
-    back shows that every line round-trips; otherwise `splice` finds the failures.
+    no run crosses '\\n'), and a line fails where its decoding, '' if its scan
+    raised, differs from it. If a line's encoding holds '\\n', each line of the batch is scanned alone.
     """
     encode = translator(cb)
     whole = encode("\n") == "\n"
@@ -336,14 +330,13 @@ def verify_roundtrip(lines: Iterable[str], cb: Codebook) -> RoundtripReport:
     failures = 0
     first: int | None = None
     for batch in _batches(lines):
-        text = "\n".join(batch)
-        decoded, scans = decode_block(encode(text) if whole else "\n".join(map(encode, batch)), cb, "strict")
-        if scans or decoded != text:
-            outcomes = splice([encode(line) for line in batch], decoded, scans, cb, "strict")
-            for offset, (line, out) in enumerate(zip(batch, outcomes), total):
-                if isinstance(out, TranslitError) or out.text != line:
-                    failures += 1
-                    if first is None:
-                        first = offset
+        decoded = decode_block(encode("\n".join(batch)) if whole else "\n".join(map(encode, batch)), cb, "strict")[0]
+        if len(decoded) != len(batch):
+            outcomes = (_scanned(encode(line), cb, "strict") for line in batch)
+            decoded = [out.text if isinstance(out, DecodeResult) else "" for out in outcomes]
+        if decoded != batch:
+            wrong = [offset for offset, (got, line) in enumerate(zip(decoded, batch), total) if got != line]
+            failures += len(wrong)
+            first = wrong[0] if first is None else first
         total += len(batch)
     return RoundtripReport(total, failures, first)

@@ -222,6 +222,18 @@ def test_decode_of_five_letter_codes_scans_only_their_lines(tmp_path, monkeypatc
     assert scans == ["BBabcd C་Qwxyz@a@@b@"] * 5000
 
 
+NEWLINE_CB = codebook.build_basic([0x0F40, 0x0A, 0x0D])  # ཀ -> "B", '\n' -> "C", '\r' -> "D"
+
+
+def test_decode_before_an_error_writes_a_scanned_line_that_decodes_to_a_newline(tmp_path, capsys):
+    # "BC" holds the code of '\n': the kernel marks its line, whose scan writes "ཀ\n";
+    # line 4's unknown code then raises. Exactly lines 1-3 are written, and only once.
+    codebook.save_path(NEWLINE_CB, str(tmp_path / "cb.tsv"))
+    code, out = _pipe(["decode", "--codebook", str(tmp_path / "cb.tsv")], b"B\nBC\nB\nZz\nB\n")
+    assert (code, out.decode("utf-8")) == (2, "ཀ\nཀ\n\nཀ\n")
+    assert "<stdin> line 4: unknown code segment 'Zz'" in capsys.readouterr().err
+
+
 def test_verify_reports_zero_failures(workspace, capsys):
     root, _, _ = workspace
     assert main(["verify", str(root / "corpus.txt"), "--codebook", str(root / "cb.tsv")]) == 0

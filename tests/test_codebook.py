@@ -181,6 +181,24 @@ def test_load_names_line_1_for_a_digest_that_is_not_lowercase_hex(digest):
     assert str(info.value) == f"<codebook> line 1: freq digest {digest!r} is not lowercase hex"
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "#strategy=basic freq_digest=ab junk",  # a stray part
+        "#strategy=basic freq_digest=ab freq_digest=cd",  # a repeated key
+        "#strategy=hybrid strategy=basic",
+        "#freq_digest=ab strategy=basic",  # keys out of order
+        "#strategy=basic",  # no freq_digest
+        "#strategy=basic  freq_digest=ab",
+        "#strategy=basic freq_digest=ab ",
+    ],
+)
+def test_load_refuses_a_header_save_never_writes(header):
+    with pytest.raises(FormatError) as info:
+        load(io.BytesIO(f"{header}\n0F40\tB\t1\t0\n".encode("utf-8")))
+    assert str(info.value) == "<codebook> line 1: expected header '#strategy=<s> freq_digest=<hex>'"
+
+
 def test_reserved_codepoints_rejected():
     with pytest.raises(IntegrityError):
         build_basic([ord("A")])

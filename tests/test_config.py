@@ -213,7 +213,31 @@ def test_a_value_its_constructor_refuses_is_a_config_error_naming_the_file(tmp_p
     path = write(tmp_path, "x.cfg", text)
     with pytest.raises(ConfigError) as info:
         load(path)
-    assert str(info.value) == f"{path}: {message}"
+    assert str(info.value) == f"{path} line 1: {message}"
+
+
+def test_a_refused_value_names_its_own_line_whatever_the_order_of_the_keys(tmp_path):
+    # A setting above the required paths: the paths it lacks do not hide its line.
+    path = write(tmp_path, "p.cfg", "confidence_threshold = 2\ncodebook = cb.tsv\ninput_model = i\noutput_model = o\n")
+    with pytest.raises(ConfigError) as info:
+        load_pipeline_config(path)
+    assert str(info.value) == f"{path} line 1: confidence_threshold must be in [0,1], got 2.0"
+    # Two refused values: the line named is that of the one the message is about.
+    path = write(tmp_path, "t.cfg", "min_count = 0\nseed = 3\nepochs = 0\n")
+    with pytest.raises(ConfigError) as info:
+        load_training_params(path)
+    assert str(info.value) == f"{path} line 3: epochs must be at least 1, got 0"
+
+
+def test_a_required_pipeline_key_names_its_line_if_empty_and_the_file_if_absent(tmp_path):
+    path = write(tmp_path, "p.cfg", "codebook = cb.tsv\ninput_model =\noutput_model = out.lid\n")
+    with pytest.raises(ConfigError) as info:
+        load_pipeline_config(path)
+    assert str(info.value) == f"{path} line 2: missing required key 'input_model'"
+    path = write(tmp_path, "q.cfg", "codebook = cb.tsv\noutput_model = out.lid\n")
+    with pytest.raises(ConfigError) as info:
+        load_pipeline_config(path)
+    assert str(info.value) == f"{path}: missing required key 'input_model'"
 
 
 def test_an_empty_pipeline_value_reads_as_none_where_none_is_allowed(tmp_path):
@@ -223,4 +247,4 @@ def test_an_empty_pipeline_value_reads_as_none_where_none_is_allowed(tmp_path):
     path = write(tmp_path, "q.cfg", paths + "model_stage = external\nmodel_command =\n")
     with pytest.raises(ConfigError) as info:
         load_pipeline_config(path)
-    assert str(info.value) == f"{path}: model_stage 'external' requires model_command"
+    assert str(info.value) == f"{path} line 4: model_stage 'external' requires model_command"

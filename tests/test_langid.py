@@ -107,7 +107,8 @@ def test_langid_train_rejects_bad_params_with_exit_2(tmp_path, capsys, flags, pa
     out = tmp_path / "model.lid"
     # `flags` are global options: whatever the log level, stderr holds the one error line.
     assert main([*flags, "langid-train", str(labeled), "--params", str(cfg), "-o", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: ConfigError: {cfg}: {message}\n"
+    line = params.count("\n") + 1  # the last: only with it are the values refused
+    assert capsys.readouterr().err == f"error: ConfigError: {cfg} line {line}: {message}\n"
     assert not out.exists()
 
 
@@ -133,7 +134,7 @@ def test_langid_train_too_many_buckets_exits_2(tmp_path):
     # 16 GiB bucket index fails to allocate whatever the host's overcommit setting.
     # Both are refused before featurizing.
     for buckets, message in (
-        (10**13, f"{cfg}: hash_buckets 10000000000000 is above 2**32, the most uint32 bucket ids can tell"),
+        (10**13, f"{cfg} line 1: hash_buckets 10000000000000 is above 2**32, the most uint32 bucket ids can tell"),
         (1 << 32, "cannot allocate the bucket index of 4294967296 buckets"),
     ):
         cfg.write_text(f"hash_buckets = {buckets}\n", encoding="utf-8")

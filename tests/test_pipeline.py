@@ -369,4 +369,4 @@ def test_a_bad_setting_fails_alike_in_pipeline_config_and_a_config_file(tmp_path
     path = tmp_path / "p.cfg"
     path.write_text(f"codebook = cb.tsv\ninput_model = in.lid\noutput_model = out.lid\n{key} = {value}\n")
     assert main(["pipeline", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: ConfigError: {path}: {from_config.value}\n"
+    assert capsys.readouterr().err == f"error: ConfigError: {path} line 4: {from_config.value}\n"

@@ -449,8 +449,8 @@ def test_decode_lines_splits_only_when_each_line_gives_one_piece():
 
 
 def _block_outcome(enc: str, cb: Codebook, mode: str) -> tuple:
-    text, scans = translit.decode_block(enc, cb, mode)
-    return text, [(i, _as_outcome(out)) for i, out in scans.items()]
+    lines, scans = translit.decode_block(enc, cb, mode)
+    return lines, [(i, _as_outcome(out)) for i, out in scans.items()]
 
 
 # Line ends with '@' groups and odd counts of '@' beside them, where pieces are cut.
@@ -485,34 +485,52 @@ def test_decode_block_takes_runs_of_whole_lines_and_a_long_line_alone(monkeypatc
     ]
     for enc, pieces in cases:
         calls.clear()
-        assert translit.decode_block(enc, CB, "lenient")[0] == "\n".join(kernel_lines(p, CB)[0] for p in pieces)
+        want = [line for p in pieces for line in kernel_lines(p, CB)[0].split("\n")]
+        assert translit.decode_block(enc, CB, "lenient")[0] == want
         assert calls == pieces
     # Marked lines keep their numbers in the whole string: pieces "\n\nB@" and "CCCCC@".
-    text, scans = translit.decode_block("\n\nB@\nCCCCC@", CB, "strict")
-    assert text == "\n\n\n" and list(scans) == [2, 3]
+    lines, scans = translit.decode_block("\n\nB@\nCCCCC@", CB, "strict")
+    assert lines == ["", "", "", ""] and list(scans) == [2, 3]
 
 
 # Every string of up to EXHAUSTIVE_LENGTH characters over `ABab@x`: code letters,
 # residue, '@' groups of every parity and a passthrough, under codes of one, two,
 # three and five letters (the kernel's table and the scan's long codes).
 EXHAUSTIVE_LENGTH = 6
-EXHAUSTIVE_CB = _codebook(["A", "B", "Ab", "Bab", "Aabab"])
+EXHAUSTIVE_CODES = ["A", "B", "Ab", "Bab", "Aabab"]
+EXHAUSTIVE_CB = _codebook(EXHAUSTIVE_CODES)
+# The same codes with "B" decoding to '\n', up to NEWLINE_EXHAUSTIVE_LENGTH characters:
+# the kernel marks each line that holds a "B", and that line's scan writes a '\n'
+# that must not end a line of `decode_block`'s lines. Length 5 (9,331 strings) adds
+# about 0.5 s a mode; length 6 (55,987) about 3 s.
+NEWLINE_EXHAUSTIVE_LENGTH = 5
+NEWLINE_EXHAUSTIVE_CB = Codebook(
+    [CodebookEntry(0x0A if code == "B" else 0x4E00 + i, code, i + 1, 0) for i, code in enumerate(EXHAUSTIVE_CODES)],
+    "basic",
+)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_decode_block_decodes_every_string_up_to_length_6_as_scan_decode_does(mode):
-    lines = ["".join(chars) for n in range(EXHAUSTIVE_LENGTH + 1) for chars in itertools.product("ABab@x", repeat=n)]
-    assert len(lines) == 55_987
-    want = [_outcome(line, EXHAUSTIVE_CB, mode) for line in lines]
-    enc = "\n".join(lines)
-    for most in (len(enc), 64):  # the whole string in one kernel call, and in pieces of whole lines
-        # In a thread of its own, so that arrays kept for the whole string go with the thread.
-        with mock.patch.object(kernel, "_SCRATCH_MAX", most), ThreadPoolExecutor(1) as pool:
-            text, scans = pool.submit(translit.decode_block, enc, EXHAUSTIVE_CB, mode).result()
-        got = [_as_outcome(scans[i]) if i in scans else (line, []) for i, line in enumerate(text.split("\n"))]
-        assert len(got) == len(lines)
-        wrong = [(line, g, w) for line, g, w in zip(lines, got, want) if g != w]
-        assert not wrong, f"{len(wrong)} lines differ from scan_decode, the first: {wrong[:3]}"
+    for cb, length, count in (
+        (EXHAUSTIVE_CB, EXHAUSTIVE_LENGTH, 55_987),
+        (NEWLINE_EXHAUSTIVE_CB, NEWLINE_EXHAUSTIVE_LENGTH, 9_331),
+    ):
+        lines = ["".join(chars) for n in range(length + 1) for chars in itertools.product("ABab@x", repeat=n)]
+        assert len(lines) == count
+        want = [_outcome(line, cb, mode) for line in lines]
+        # Each line's text: its scan's, or '' where the scan raises.
+        want_lines = ["" if isinstance(w[0], type) else w[0] for w in want]
+        enc = "\n".join(lines)
+        for most in (len(enc), 64):  # the whole string in one kernel call, and in pieces of whole lines
+            # In a thread of its own, so that arrays kept for the whole string go with the thread.
+            with mock.patch.object(kernel, "_SCRATCH_MAX", most), ThreadPoolExecutor(1) as pool:
+                decoded, scans = pool.submit(translit.decode_block, enc, cb, mode).result()
+            got = [_as_outcome(scans[i]) if i in scans else (line, []) for i, line in enumerate(decoded)]
+            assert len(got) == len(lines)
+            wrong = [(line, g, w) for line, g, w in zip(lines, got, want) if g != w]
+            assert not wrong, f"{len(wrong)} lines differ from scan_decode, the first: {wrong[:3]}"
+            assert decoded == want_lines
 
 
 # Every string of up to DECODE_LENGTH characters over `ABab@x\n`: the letters above and line
