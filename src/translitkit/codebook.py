@@ -32,24 +32,6 @@ def _reserved(cp: int) -> str:
     return f"U+{cp:04X} ({chr(cp)!r}) is reserved by the wire grammar"
 
 
-def check_code_point(cp: int, cell: str, where: str) -> None:
-    """Raise FormatError, prefixed with `where`, unless `cp` (read from `cell`) is a Unicode scalar value."""
-    if not 0 <= cp <= 0x10FFFF:
-        raise FormatError(f"{where}: code point {cell!r} out of range")
-    if 0xD800 <= cp <= 0xDFFF:
-        raise FormatError(f"{where}: code point U+{cp:04X} is a surrogate")
-
-
-def check_decimal(cell: str, n: int, least: int, what: str, where: str) -> None:
-    """Raise FormatError, prefixed with `where`, unless `cell` is `str(n)` and `n` is at least `least`.
-
-    A number read from `cell` by `int` may also carry a sign, spaces, leading
-    zeros or '_'; only the decimal that `str` writes re-saves as itself.
-    """
-    if cell != str(n) or n < least:
-        raise FormatError(f"{where}: {what} {cell!r} is not a decimal of {least} or more")
-
-
 @dataclass(frozen=True)
 class CodebookEntry:
     codepoint: int
@@ -111,7 +93,7 @@ def _index(rows: Iterable[tuple[str, CodebookEntry]], prefix: str = "") -> tuple
     at_rank: dict[int, str] = {}
     for place, e in rows:
         cp, code, rank, where = e.codepoint, e.code, e.rank, prefix + place
-        check_code_point(cp, f"{cp:X}", where)
+        textio.check_code_point(cp, f"{cp:X}", where)
         for what, n in (("rank", rank), ("token count", e.token_count)):
             if n < _LEAST[what]:
                 raise FormatError(f"{where}: {what} '{n}' is not a decimal of {_LEAST[what]} or more")
@@ -290,7 +272,7 @@ def load_transform(path: str) -> dict[int, str]:
             cp = int(cols[0], 16)
         except ValueError as exc:
             raise FormatError(f"{path} line {lineno}: {exc}") from exc
-        check_code_point(cp, cols[0], f"{path} line {lineno}")
+        textio.check_code_point(cp, cols[0], f"{path} line {lineno}")
         if cp in RESERVED:
             raise IntegrityError(f"{path} line {lineno}: {_reserved(cp)}")
         if cp in table:

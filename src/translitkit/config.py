@@ -15,10 +15,10 @@ from dataclasses import MISSING, fields, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from . import textio
-from .codespace import UPPER, CodeSpaceProfile
 from .errors import ConfigError, TrainingError
 
-if TYPE_CHECKING:  # each is imported by the one loader that uses it
+if TYPE_CHECKING:  # each is imported only where it is used
+    from .codespace import CodeSpaceProfile
     from .freqanalysis import ScriptRange
     from .langid import TrainingParams
     from .pipeline import PipelineConfig
@@ -96,6 +96,8 @@ def _read(path: str, readers: dict[str, Reader], build: Callable, every: Reader 
 
 def parse_letters(spec: str) -> list[str]:
     """Uppercase letter set: 'A-F', 'ABCDEF' and 'A,B,C' all work; '' is empty."""
+    from .codespace import UPPER
+
     spec = spec.replace(",", "").replace(" ", "")
     if not spec:
         return []
@@ -112,6 +114,8 @@ def parse_letters(spec: str) -> list[str]:
 
 def load_profile(path: str) -> CodeSpaceProfile:
     """One key per `CodeSpaceProfile` field: `max_len` an integer, each letter set as `parse_letters` reads it."""
+    from .codespace import CodeSpaceProfile
+
     readers = {f.name: int if f.type == "int" else parse_letters for f in fields(CodeSpaceProfile)}
     return _read(path, readers, CodeSpaceProfile)
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable
 
 from . import textio
-from .codebook import check_code_point, check_decimal
 from .errors import ConfigError, FormatError, IntegrityError
 
 OTHER = "other"
@@ -120,6 +119,16 @@ def merged_charset(
     return chosen
 
 
+def _check_decimal(cell: str, n: int, least: int, what: str, where: str) -> None:
+    """Raise FormatError, prefixed with `where`, unless `cell` is `str(n)` and `n` is at least `least`.
+
+    A number read from `cell` by `int` may also carry a sign, spaces, leading
+    zeros or '_'; only the decimal that `str` writes re-saves as itself.
+    """
+    if cell != str(n) or n < least:
+        raise FormatError(f"{where}: {what} {cell!r} is not a decimal of {least} or more")
+
+
 def write_tsv(freq: FrequencyTable, out: IO[str]) -> None:
     """Rows `codepoint<TAB>hex<TAB>script<TAB>count`, most frequent first."""
     out.write("#scripts=" + ",".join(sorted(freq.scripts)) + "\n")
@@ -150,11 +159,11 @@ def read_tsv(src: BinaryIO, name: str = "<frequency tsv>") -> FrequencyTable:
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
         # Each cell as `write_tsv` writes it, so that a row re-saves as itself.
-        check_code_point(cp, fields[0], where)
-        check_decimal(fields[0], cp, 0, "code point", where)
+        textio.check_code_point(cp, fields[0], where)
+        _check_decimal(fields[0], cp, 0, "code point", where)
         if fields[1] != f"U+{cp:04X}":
             raise FormatError(f"{where}: hex column {fields[1]!r} is not U+{cp:04X}")
-        check_decimal(fields[3], count, 1, "count", where)
+        _check_decimal(fields[3], count, 1, "count", where)
         if cp in counts:
             raise IntegrityError(f"{where}: duplicate codepoint U+{cp:04X}")
         counts[cp] = count

@@ -5,14 +5,15 @@ Every file and stream the toolkit reads as text comes through here. Only
 ``\\r`` stays in the text, so writing ``text + end`` back reproduces the input
 byte for byte. `read_lines` drops one leading BOM, so every loaded file reads
 the same with or without one; `read_blocks`, which the stdin filters use, keeps
-it, so they give back their input byte for byte.
+it, so they give back their input byte for byte. `check_code_point` is the
+one check of a code point read from a cell of such a file.
 """
 
 from __future__ import annotations
 
 from typing import BinaryIO, Iterator
 
-from .errors import InputError
+from .errors import FormatError, InputError
 
 #: Bytes asked of the stream per read. A block holds the whole lines these
 #: bytes complete, so it is at most about this size unless one line is longer.
@@ -86,3 +87,11 @@ def read_file(path: str) -> Iterator[tuple[str, str]]:
     """`read_lines` over the file at `path`; errors name the path."""
     with open(path, "rb") as fh:
         yield from read_lines(fh, path)
+
+
+def check_code_point(cp: int, cell: str, where: str) -> None:
+    """Raise FormatError, prefixed with `where`, unless `cp` (read from `cell`) is a Unicode scalar value."""
+    if not 0 <= cp <= 0x10FFFF:
+        raise FormatError(f"{where}: code point {cell!r} out of range")
+    if 0xD800 <= cp <= 0xDFFF:
+        raise FormatError(f"{where}: code point U+{cp:04X} is a surrogate")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from translitkit import codebook, langid, synth, textio, translit
 from translitkit.bpe import BpeModel, save_model
-from translitkit.cli import main
+from translitkit.cli import _build_parser, main
 from translitkit.config import load_pipeline_config
 from translitkit.errors import TranslitError
 from translitkit.pipeline import Pipeline
@@ -125,6 +125,19 @@ def test_log_level_is_checked_as_a_usage_error(capsys):
     assert logging.getLogger("translitkit").level == logging.ERROR
     assert main(["--version"]) == 0  # back to the default
     assert logging.getLogger("translitkit").level == logging.WARNING
+
+
+def test_decode_mode_choices_are_translit_modes():
+    decode = next(a for a in _build_parser()._actions if a.choices and "decode" in a.choices).choices["decode"]
+    assert next(a for a in decode._actions if a.dest == "mode").choices == translit.MODES
+
+
+def test_an_unknown_decode_mode_is_a_usage_error(tmp_path, capsys):
+    # The codebook does not exist: the mode is refused before it is read.
+    assert main(["decode", "--codebook", str(tmp_path / "cb.tsv"), "--mode", "bogus"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: usage: argument --mode: invalid choice: 'bogus' (choose from 'strict', 'lenient')\n"
+    )
 
 
 def test_langid_train_options_come_only_from_the_params_file(capsys, tmp_path):
@@ -242,12 +255,11 @@ def test_verify_reports_zero_failures(workspace, capsys):
 
 
 def test_verify_exit_3_on_failures(workspace, capsys, monkeypatch):
-    import translitkit.cli as cli_mod
     from translitkit.translit import RoundtripReport
 
     root, _, _ = workspace
     monkeypatch.setattr(
-        cli_mod.translit, "verify_roundtrip", lambda lines, cb: RoundtripReport(5, 2, 1)
+        translit, "verify_roundtrip", lambda lines, cb: RoundtripReport(5, 2, 1)
     )
     assert main(["verify", str(root / "corpus.txt"), "--codebook", str(root / "cb.tsv")]) == 3
     out = capsys.readouterr().out

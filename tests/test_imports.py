@@ -82,43 +82,61 @@ def _python(script: str, argv: list[str] | tuple = (), stdin: str = "", cwd: Pat
     return err
 
 
-# Every command loads these: `cli` itself, and its parser needs `translit.MODES`.
-BASE = {"cli", "codebook", "codespace", "errors", "textio", "translit"}
+# Every command loads these, `--version` nothing else.
+BASE = {"cli", "errors"}
+# The modules that encode and decode; only a command that runs or reads a codebook loads them.
+CODEC = {"codebook", "codespace", "translit"}
 BUILD = ["build-codebook", "--freq", "freq.tsv", "--scripts", "Tibetan,Mongolian,Uyghur"]
-# Command -> (argv, the modules it loads besides BASE). `bpe` loads for a
-# codebook build only with a tokenizer, `hashlib` only for the codebook digest
-# and `subprocess` only for the external model stage.
+# Command -> (argv, the modules it loads besides BASE). `textio` loads with
+# any input, `bpe` for a codebook build only with a tokenizer, `hashlib` only
+# for the codebook digest and `subprocess` only for the external model stage.
 COMMANDS = {
     "version": (["--version"], set()),
-    "encode": (["encode", "--codebook", "cb.tsv"], set()),
-    "decode": (["decode", "--codebook", "cb.tsv"], {"kernel", "numpy"}),
-    "verify": (["verify", "corpus.txt", "--codebook", "cb.tsv"], {"kernel", "numpy"}),
+    "encode": (["encode", "--codebook", "cb.tsv"], {"codebook", "codespace", "textio", "translit"}),
+    "decode": (
+        ["decode", "--codebook", "cb.tsv"], {"codebook", "codespace", "textio", "translit", "kernel", "numpy"}
+    ),
+    "verify": (
+        ["verify", "corpus.txt", "--codebook", "cb.tsv"],
+        {"codebook", "codespace", "textio", "translit", "kernel", "numpy"},
+    ),
     "analyze": (
-        ["analyze", "corpus.txt", "--ranges", "ranges.cfg", "-o", "freq2.tsv"], {"freqanalysis", "config"}
+        ["analyze", "corpus.txt", "--ranges", "ranges.cfg", "-o", "freq2.tsv"], {"config", "freqanalysis", "textio"}
     ),
     "build-basic": (
         [*BUILD, "--strategy", "basic", "--profile", "profile.cfg", "-o", "cb2.tsv"],
-        {"config", "freqanalysis", "hashlib"},
+        {"codebook", "codespace", "config", "freqanalysis", "hashlib", "textio"},
     ),
     "build-tokenizer": (
         [*BUILD, "--strategy", "tokenizer", "--bpe", "bpe", "-o", "cb3.tsv"],
-        {"config", "freqanalysis", "hashlib", "bpe"},
+        {"codebook", "codespace", "config", "freqanalysis", "hashlib", "textio", "bpe"},
     ),
-    "bpe-train": (["bpe-train", "encoded.txt", "--vocab-size", "200", "-o", "bpe2"], {"bpe"}),
-    "bpe-merge": (["bpe-merge", "bpe", "bpe", "-o", "bpe3"], {"bpe"}),
-    "stats": (["stats", "corpus.txt", "encoded.txt", "--bpe", "bpe"], {"bpe", "metrics", "json"}),
+    "build-hybrid": (
+        [*BUILD, "--strategy", "hybrid", "--bpe", "bpe", "-o", "cb4.tsv"],
+        {"codebook", "codespace", "config", "freqanalysis", "hashlib", "textio", "bpe"},
+    ),
+    "bpe-train": (["bpe-train", "encoded.txt", "--vocab-size", "200", "-o", "bpe2"], {"bpe", "textio"}),
+    "bpe-merge": (["bpe-merge", "bpe", "bpe", "-o", "bpe3"], {"bpe", "textio"}),
+    "stats": (["stats", "corpus.txt", "encoded.txt", "--bpe", "bpe"], {"bpe", "metrics", "json", "textio"}),
+    "stats-codebook": (
+        ["stats", "corpus.txt", "encoded.txt", "--bpe", "bpe", "--codebook", "cb.tsv"],
+        {"bpe", "metrics", "json", "textio", "codebook", "codespace"},
+    ),
     "langid-train": (
         ["langid-train", "labeled.txt", "--params", "params.cfg", "-o", "m2.lid"],
-        {"config", "langid", "numpy", "json"},
+        {"config", "langid", "numpy", "json", "textio"},
     ),
-    "detect": (["detect", "--model", "m.lid", "ཀཁ"], {"langid", "numpy", "json"}),
+    "detect": (["detect", "--model", "m.lid", "ཀཁ"], {"langid", "numpy", "json", "textio"}),
     "pipeline": (
         ["pipeline", "--config", "identity.cfg"],
-        {"config", "pipeline", "langid", "kernel", "numpy", "json"},
+        {"config", "pipeline", "langid", "codebook", "codespace", "textio", "translit", "kernel", "numpy", "json"},
     ),
     "pipeline-external": (
         ["pipeline", "--config", "external.cfg"],
-        {"config", "pipeline", "langid", "kernel", "numpy", "json", "subprocess"},
+        {
+            "config", "pipeline", "langid", "codebook", "codespace", "textio", "translit", "kernel", "numpy", "json",
+            "subprocess",
+        },
     ),
 }
 
@@ -127,6 +145,11 @@ def _loaded(root: Path, name: str) -> set[str]:
     argv, _ = COMMANDS[name]
     stdin = (root / ("encoded.txt" if name == "decode" else "corpus.txt")).read_text(encoding="utf-8")
     return set(_python(PROBE, argv, stdin, root).splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("name", ["version", "analyze", "bpe-train", "bpe-merge", "stats", "langid-train", "detect"])
+def test_commands_that_read_no_codebook_load_no_codec(name):
+    assert not COMMANDS[name][1] & CODEC
 
 
 @pytest.mark.parametrize("name", [name for name, (_, extra) in COMMANDS.items() if "numpy" not in extra])
