@@ -18,11 +18,6 @@ from .errors import ConfigError, FormatError
 
 _WS_SPLIT = re.compile(r"(\s+)")
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a lone surrogate has no UTF-8 encoding
-#: `tokenize` keeps the tokens of words of at most this many characters, and
-#: of at most `_CACHED_WORDS` of them, emptying the cache when it is full.
-#: Spaced text repeats its short words; a script line is one long word.
-_CACHED_WORD_LEN = 32
-_CACHED_WORDS = 1 << 12
 
 
 def _byte_tokens(ch: str) -> list[str]:
@@ -44,7 +39,6 @@ class BpeModel:
     byte_fallback: bool = False
     _vocab_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _word_cache: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._vocab_set, self._ranks = _index(
@@ -55,21 +49,13 @@ class BpeModel:
     def tokenize(self, text: str) -> list[str]:
         """Deterministic segmentation: lowest-ranked applicable merge first."""
         out: list[str] = []
-        cache = self._word_cache
         for i, part in enumerate(_WS_SPLIT.split(text)):
             if not part:
                 continue
             if i & 1:  # whitespace run
                 out.append(part)
-            elif len(part) > _CACHED_WORD_LEN:
-                out.extend(self._tokenize_word(part))
             else:
-                tokens = cache.get(part)
-                if tokens is None:
-                    if len(cache) >= _CACHED_WORDS:
-                        cache.clear()
-                    tokens = cache[part] = self._tokenize_word(part)
-                out.extend(tokens)
+                out.extend(self._tokenize_word(part))
         return out
 
     def _tokenize_word(self, word: str) -> tuple[str, ...]:

@@ -15,10 +15,7 @@ from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from . import codebook as codebook_mod
-# The codec before `langid` and numpy: compiled after numpy, it raised the
-# `pipeline` command's peak RSS by about 0.6 MB.
-from . import translit
-from . import langid
+from . import langid, translit
 from .codebook import Codebook
 from .errors import StageError, TranslitError
 from .langid import LangIdModel

@@ -5,7 +5,6 @@ import string
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from translitkit import bpe
 from translitkit.bpe import (
     BpeModel,
     load_model,
@@ -76,22 +75,6 @@ def test_tokenize_matches_naive_reference():
             model.merges,
             text,
         )
-
-
-def test_cached_words_tokenize_as_fresh_ones(monkeypatch):
-    # A small cache of words of up to 4 characters fills and empties many times
-    # over. Each word comes with its reversal, so tokens kept under another word show.
-    monkeypatch.setattr(bpe, "_CACHED_WORD_LEN", 4)
-    monkeypatch.setattr(bpe, "_CACHED_WORDS", 3)
-    rng = random.Random(77)
-    model = train(["abcab cabc abca bcab"], target_vocab=12)
-    words = ["".join(rng.choices("abc", k=rng.randint(1, 8))) for _ in range(6)]
-    words += [word[::-1] for word in words]
-    for _ in range(200):
-        text = " ".join(rng.choices(words, k=rng.randint(0, 6)))
-        assert model.tokenize(text) == naive_tokenize(text, model.merges)
-        assert len(model._word_cache) <= 3 and all(len(word) <= 4 for word in model._word_cache)
-    assert model._word_cache
 
 
 _FALLBACK_BYTES = ["<0xC3>", "<0xA9>"]  # the UTF-8 bytes of "é", which no vocab below holds
